@@ -75,6 +75,11 @@ CallResult KernelBackend::execute(const Call& call, const img::Image& a,
   return execute_intra(call, a);
 }
 
+CallResult execute(const Call& call, const img::Image& a, const img::Image* b,
+                   SegmentRunInfo& info, const KernelOptions& options) {
+  return KernelBackend(options).execute(call, a, b, info);
+}
+
 CallResult KernelBackend::execute_inter(const Call& call, const img::Image& a,
                                         const img::Image& b) const {
   const i32 w = a.width();

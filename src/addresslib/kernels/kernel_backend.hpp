@@ -27,6 +27,10 @@
 // traversal is inherently sequential, so it does not band across the pool;
 // the win is sparsity and batching, not threads.  Calls with no lowering
 // (the Gme* accumulators) transparently fall back to the interpreter.
+//
+// alib::execute (below) is the host's one pixel dispatch: every backend
+// computes its pixels through it and adds only its own accounting on top.
+// execute_functional stays the oracle the tests hold every backend to.
 #pragma once
 
 #include "addresslib/functional.hpp"
@@ -77,5 +81,13 @@ class KernelBackend {
 
   KernelOptions options_;
 };
+
+/// The one host execution entry point: runs `call` on a KernelBackend with
+/// `options` (the shared pool by default), which uses the interpreter only
+/// for calls with no lowering.  Bit-exact with execute_functional,
+/// SegmentRunInfo included, so every cost model priced from `info` sees the
+/// same inputs it would from the interpreter.
+CallResult execute(const Call& call, const img::Image& a, const img::Image* b,
+                   SegmentRunInfo& info, const KernelOptions& options = {});
 
 }  // namespace ae::alib

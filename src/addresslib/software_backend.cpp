@@ -1,13 +1,12 @@
 #include "addresslib/software_backend.hpp"
 
 #include "addresslib/access_model.hpp"
-#include "addresslib/functional.hpp"
 
 namespace ae::alib {
 
 SoftwareBackend::SoftwareBackend(SoftwareCostModel model,
                                  SoftwareOptions options)
-    : model_(model), options_(options), kernels_(options.kernels) {}
+    : model_(model), options_(options) {}
 
 std::string SoftwareBackend::format_ghz() const {
   const double ghz = model_.clock_hz / 1e9;
@@ -24,9 +23,7 @@ std::string SoftwareBackend::name() const {
 CallResult SoftwareBackend::execute(const Call& call, const img::Image& a,
                                     const img::Image* b) {
   SegmentRunInfo seg;
-  CallResult result = options_.use_kernels
-                          ? kernels_.execute(call, a, b, seg)
-                          : execute_functional(call, a, b, seg);
+  CallResult result = alib::execute(call, a, b, seg, options_.kernels);
   CallStats& stats = result.stats;
   const auto pixels = static_cast<u64>(stats.pixels);
 

@@ -5,11 +5,11 @@
 // models in access_model.hpp / cost_model.hpp, i.e. it *behaves* like our
 // C++ but *counts* like the 2005 XM software it stands in for.
 //
-// By default the pixels are produced by the kernel backend (specialized row
-// kernels, see kernels/kernel_backend.hpp) — bit-exact with the interpreter
-// but far faster on the host.  The accounting is unaffected by the switch:
-// the cost models read only the call descriptor and the traversal counts,
-// never how this process happened to compute the pixels.
+// The pixels come from alib::execute, the kernel backend's dispatch
+// (specialized row kernels, see kernels/kernel_backend.hpp) — bit-exact
+// with the interpreter but far faster on the host.  The accounting does not
+// depend on it: the cost models read only the call descriptor and the
+// traversal counts, never how this process happened to compute the pixels.
 #pragma once
 
 #include "addresslib/call.hpp"
@@ -21,10 +21,7 @@ namespace ae::alib {
 /// Host-execution knobs of the software backend (modeled costs are
 /// controlled separately, via SoftwareCostModel).
 struct SoftwareOptions {
-  /// Route supported calls through the specialized kernel backend; when
-  /// false every call runs the generic per-pixel interpreter.
-  bool use_kernels = true;
-  /// Pool/grain of the kernel backend (ignored when use_kernels is false).
+  /// Pool/grain of the kernel backend.
   KernelOptions kernels;
 };
 
@@ -45,7 +42,6 @@ class SoftwareBackend : public Backend {
 
   SoftwareCostModel model_;
   SoftwareOptions options_;
-  KernelBackend kernels_;
 };
 
 }  // namespace ae::alib

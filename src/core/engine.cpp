@@ -2,7 +2,7 @@
 
 #include <sstream>
 
-#include "addresslib/functional.hpp"
+#include "addresslib/kernels/kernel_backend.hpp"
 
 namespace ae::core {
 
@@ -28,7 +28,7 @@ alib::CallResult EngineBackend::execute(const alib::Call& call,
     return simulate_call(config_, call, a, b, &last_run_, trace_);
   }
   alib::SegmentRunInfo seg;
-  alib::CallResult result = alib::execute_functional(call, a, b, seg);
+  alib::CallResult result = alib::execute(call, a, b, seg);
   validate_frame(config_, a.size());
   last_run_ = analytic_run_stats(config_, call, a.size(),
                                  seg.processed_pixels, seg.criterion_tests);

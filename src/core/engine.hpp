@@ -3,9 +3,9 @@
 // Two execution modes:
 //  * CycleAccurate — full per-cycle simulation of the board (authoritative;
 //    used by the memory/architecture experiments and the test suite),
-//  * Analytic — functional execution plus the closed-form timing model
-//    (validated against the simulator; used by call-heavy experiments such
-//    as the Table 3 GME runs).
+//  * Analytic — the host pixel path (alib::execute, the kernel backend) plus
+//    the closed-form timing model (validated against the simulator; used by
+//    call-heavy experiments such as the Table 3 GME runs).
 // Both produce bit-identical pixel output.
 #pragma once
 

@@ -113,12 +113,19 @@ alib::CallResult ResilientSession::run_software(const alib::Call& call,
 alib::CallResult ResilientSession::execute(const alib::Call& call,
                                            const img::Image& a,
                                            const img::Image* b) {
+  return execute(call, a, b, FrameKeys{});
+}
+
+alib::CallResult ResilientSession::execute(const alib::Call& call,
+                                           const img::Image& a,
+                                           const img::Image* b,
+                                           const FrameKeys& keys) {
   const sync::SingleOwnerChecker::Scope single_owner(owner_);
   // Guard before any accounting: a statically rejected call must not move
   // the breaker or retry counters, and must be rejected even while the
   // breaker serves from software.
   if (options_.session.validate_before_execute)
-    static_verify_call(session_.config(), call, a, b);
+    static_verify_call(session_.config(), call, a, b, keys);
   ++stats_.calls;
   if (breaker_ == BreakerState::Open) {
     if (cooldown_used_ < options_.breaker_cooldown_calls) {
@@ -140,7 +147,7 @@ alib::CallResult ResilientSession::execute(const alib::Call& call,
     }
     ++stats_.engine_attempts;
     try {
-      alib::CallResult result = session_.execute(call, a, b);
+      alib::CallResult result = session_.execute(call, a, b, keys);
       ++stats_.engine_calls;
       consecutive_failed_calls_ = 0;
       if (breaker_ == BreakerState::HalfOpen) {

@@ -92,8 +92,13 @@ class ResilientSession : public alib::Backend {
 
   std::string name() const override;
   /// Always returns a bit-exact result; never throws on transport faults.
+  /// execute(call, a, b, {}): the inputs are hashed below, where needed.
   alib::CallResult execute(const alib::Call& call, const img::Image& a,
                            const img::Image* b = nullptr) override;
+  /// As execute(), carrying input content keys a layer above already
+  /// computed down to the EngineSession and the static-verify guard.
+  alib::CallResult execute(const alib::Call& call, const img::Image& a,
+                           const img::Image* b, const FrameKeys& keys);
 
   const ResilientStats& stats() const { return stats_; }
   const ResilientOptions& options() const { return options_; }

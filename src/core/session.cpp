@@ -2,15 +2,25 @@
 
 #include <algorithm>
 
-#include "addresslib/functional.hpp"
+#include "addresslib/kernels/kernel_backend.hpp"
 #include "analysis/verifier.hpp"
 #include "core/engine_sim.hpp"
 #include "core/fault.hpp"
 
 namespace ae::core {
 
+FrameKeys FrameKeys::resolved(const img::Image& a_frame,
+                              const img::Image* b_frame) const {
+  FrameKeys keys = *this;
+  if (keys.a == 0) keys.a = frame_content_hash(a_frame);
+  if (keys.b == 0 && b_frame != nullptr)
+    keys.b = frame_content_hash(*b_frame);
+  return keys;
+}
+
 void static_verify_call(const EngineConfig& config, const alib::Call& call,
-                        const img::Image& a, const img::Image* b) {
+                        const img::Image& a, const img::Image* b,
+                        const FrameKeys& keys) {
   Size b_size{};
   const Size* b_ptr = nullptr;
   if (b != nullptr) {
@@ -20,9 +30,13 @@ void static_verify_call(const EngineConfig& config, const alib::Call& call,
   // Aliasing by identity or by content: one on-board copy can satisfy only
   // one bank-pair claim (the PR 2 duplicate-slot class, AEV210).
   bool alias = false;
-  if (call.mode == alib::Mode::Inter && b != nullptr)
-    alias = b == &a || (b->size() == a.size() &&
-                        frame_content_hash(*b) == frame_content_hash(a));
+  if (call.mode == alib::Mode::Inter && b != nullptr) {
+    alias = b == &a;
+    if (!alias && b->size() == a.size()) {
+      const FrameKeys k = keys.resolved(a, b);
+      alias = k.a == k.b;
+    }
+  }
   analysis::VerifyOptions options;
   options.config = config;
   analysis::enforce(
@@ -200,12 +214,20 @@ EngineSession::Residency EngineSession::acquire_input(
 alib::CallResult EngineSession::execute(const alib::Call& call,
                                         const img::Image& a,
                                         const img::Image* b) {
+  return execute(call, a, b, FrameKeys{});
+}
+
+alib::CallResult EngineSession::execute(const alib::Call& call,
+                                        const img::Image& a,
+                                        const img::Image* b, FrameKeys keys) {
+  last_output_key_ = 0;
+  const bool simulated = fault_ != nullptr && fault_->enabled();
+  if (!simulated) keys = keys.resolved(a, b);
   if (options_.validate_before_execute)
-    static_verify_call(config_, call, a, b);
-  if (fault_ != nullptr && fault_->enabled())
-    return execute_simulated(call, a, b);
+    static_verify_call(config_, call, a, b, keys);
+  if (simulated) return execute_simulated(call, a, b);
   alib::SegmentRunInfo seg;
-  alib::CallResult result = alib::execute_functional(call, a, b, seg);
+  alib::CallResult result = alib::execute(call, a, b, seg);
   ++stats_.calls;
 
   const int images = call.mode == alib::Mode::Inter ? 2 : 1;
@@ -228,9 +250,7 @@ alib::CallResult EngineSession::execute(const alib::Call& call,
       (timing.input_busy_cycles + timing.input_overhead_cycles) /
       static_cast<u64>(images);
   u64 input_cycles = timing.input_busy_cycles + timing.input_overhead_cycles;
-  const u64 hash_a = frame_content_hash(a);
-  const u64 hash_b = b != nullptr ? frame_content_hash(*b) : 0;
-  std::array<u64, 2> wanted{hash_a, hash_b};
+  const std::array<u64, 2> wanted{keys.a, keys.b};
   std::array<bool, 2> claimed{false, false};
   for (int f = 0; f < images; ++f) {
     switch (acquire_input(wanted[static_cast<std::size_t>(f)], claimed)) {
@@ -267,6 +287,7 @@ alib::CallResult EngineSession::execute(const alib::Call& call,
     ++stats_.outputs_read_back;
   }
   result_slot_ = frame_content_hash(result.output);
+  last_output_key_ = result_slot_;
 
   // Setup overhead is driver time spent before/while streaming strips, so
   // it belongs to the input phase of the pipelining view.

@@ -15,9 +15,14 @@
 //   * side-only readback elision — calls whose value is entirely in the
 //     side port (Sad, Histogram, GmeAccum, GmeAccumAffine) skip the result
 //     readback.
-// Functional results are produced exactly as always; only the timing model
-// changes.  The `session_optimization` bench quantifies the effect on the
-// Table 3 workload.
+// Pixels come from the host's one pixel dispatch, alib::execute (the kernel
+// backend, bit-exact with the interpreter down to the segment traversal
+// counts the timing model prices); only the timing model differs from a
+// plain EngineBackend.  Residency is keyed by frame content: each input is
+// hashed at most once per call, and not at all when the layer above already
+// carries its key (FrameKeys; serve::EngineFarm hashes at submission).  The
+// `session_optimization` bench quantifies the effect on the Table 3
+// workload.
 #pragma once
 
 #include <array>
@@ -46,6 +51,20 @@ struct SessionOptions {
 /// Exposed so schedulers above the session (serve::EngineFarm) can route by
 /// residency affinity without re-deriving the hashing scheme.
 u64 frame_content_hash(const img::Image& image);
+
+/// Content keys (frame_content_hash) of a call's input frames.  A key of 0
+/// means "not hashed yet" (the hash itself is never 0): the layer that first
+/// hashes a frame carries its key down the stack, and the layers below
+/// compute only the keys that are still missing.
+struct FrameKeys {
+  u64 a = 0;
+  u64 b = 0;
+
+  /// These keys with the missing ones computed (`b` only when the second
+  /// frame is present).
+  FrameKeys resolved(const img::Image& a_frame,
+                     const img::Image* b_frame) const;
+};
 
 /// Phase split of one executed call, in engine cycles — the non-blocking
 /// strip-progress view a pipelining scheduler needs: while a call is in its
@@ -104,20 +123,31 @@ bool is_side_only_op(alib::PixelOp op);
 /// The `validate_before_execute` guard, shared by EngineSession,
 /// ResilientSession and serve::EngineFarm: statically verifies one call
 /// against `config` (the aeverify rule set, including the duplicate-slot
-/// aliasing check via frame content hashes) and throws
-/// analysis::VerificationError on any error-severity finding.
+/// aliasing check via frame content hashes — `keys` supplies those, missing
+/// ones are computed) and throws analysis::VerificationError on any
+/// error-severity finding.
 void static_verify_call(const EngineConfig& config, const alib::Call& call,
-                        const img::Image& a, const img::Image* b);
+                        const img::Image& a, const img::Image* b,
+                        const FrameKeys& keys = {});
 
 class EngineSession : public alib::Backend {
  public:
   explicit EngineSession(EngineConfig config = {}, SessionOptions options = {});
 
   std::string name() const override;
+  /// execute(call, a, b, {}): the session hashes the inputs itself.
   alib::CallResult execute(const alib::Call& call, const img::Image& a,
                            const img::Image* b = nullptr) override;
+  /// Executes one call with the input content keys a layer above already
+  /// computed; missing keys are hashed here, and only on the analytic path
+  /// (the simulated path transfers every frame and keys nothing).
+  alib::CallResult execute(const alib::Call& call, const img::Image& a,
+                           const img::Image* b, FrameKeys keys);
 
   const SessionStats& stats() const { return stats_; }
+  /// Content key of the most recent call's output, as the analytic path
+  /// computed it for the result banks; 0 after a simulated call.
+  u64 last_output_key() const { return last_output_key_; }
   const EngineConfig& config() const { return config_; }
   /// Phase split of the most recent call (all-zero before the first call).
   /// Residency reuse is already folded in: a call whose inputs were all
@@ -181,6 +211,7 @@ class EngineSession : public alib::Backend {
   SessionOptions options_;
   SessionStats stats_;
   CallPhases last_phases_;
+  u64 last_output_key_ = 0;
   // Content hashes of the frames in the input pairs and the result banks.
   struct InputSlot {
     u64 hash = 0;

@@ -169,6 +169,15 @@ analysis::ProgramRunResult EngineFarm::run_planned(
   const auto& frames = program.frames();
   std::vector<img::Image> values(frames.size());
   std::vector<bool> have(frames.size(), false);
+  // One content key per frame value: inputs are hashed when bound, results
+  // take the key their call's session computed.  A result the session did
+  // not hash (simulated or fallback call) is hashed on first use.
+  std::vector<u64> keys(frames.size(), 0);
+  const auto key = [&](i32 f) {
+    const auto i = static_cast<std::size_t>(f);
+    if (keys[i] == 0) keys[i] = core::frame_content_hash(values[i]);
+    return keys[i];
+  };
   std::size_t next_input = 0;
   for (std::size_t f = 0; f < frames.size(); ++f) {
     if (frames[f].producer != analysis::kNoFrame) continue;
@@ -179,6 +188,7 @@ analysis::ProgramRunResult EngineFarm::run_planned(
                    program.frame_name(static_cast<i32>(f)) + "'");
     values[f] = inputs[next_input++];
     have[f] = true;
+    keys[f] = core::frame_content_hash(values[f]);
   }
   AE_EXPECTS(next_input == inputs.size(),
              "execute_program: more input images than external frames");
@@ -192,20 +202,22 @@ analysis::ProgramRunResult EngineFarm::run_planned(
                    have[static_cast<std::size_t>(pc.input_a)],
                "execute_program: call reads an unavailable frame");
     const img::Image* b = nullptr;
+    core::FrameKeys call_keys{key(pc.input_a), 0};
     if (pc.input_b != analysis::kNoFrame) {
       AE_EXPECTS(program.valid_frame(pc.input_b) &&
                      have[static_cast<std::size_t>(pc.input_b)],
                  "execute_program: call reads an unavailable second frame");
       b = &values[static_cast<std::size_t>(pc.input_b)];
+      call_keys.b = key(pc.input_b);
     }
     std::vector<u64> pins;
     for (const i32 kept : plan.assignments[p].keep)
       if (program.valid_frame(kept) && have[static_cast<std::size_t>(kept)])
-        pins.push_back(
-            core::frame_content_hash(values[static_cast<std::size_t>(kept)]));
+        pins.push_back(key(kept));
+    u64 output_key = 0;
     alib::CallResult r =
         submit_request(pc.call, values[static_cast<std::size_t>(pc.input_a)],
-                       b, home, std::move(pins))
+                       b, call_keys, home, std::move(pins), &output_key)
             .get();
     out.side.merge(r.side);
     out.stats.merge(r.stats);
@@ -213,6 +225,7 @@ analysis::ProgramRunResult EngineFarm::run_planned(
                         r.segments.end());
     values[static_cast<std::size_t>(pc.output)] = std::move(r.output);
     have[static_cast<std::size_t>(pc.output)] = true;
+    keys[static_cast<std::size_t>(pc.output)] = output_key;
   }
   for (const i32 f : program.outputs()) {
     AE_EXPECTS(program.valid_frame(f) && have[static_cast<std::size_t>(f)],
@@ -225,16 +238,22 @@ analysis::ProgramRunResult EngineFarm::run_planned(
 std::future<alib::CallResult> EngineFarm::submit(const alib::Call& call,
                                                  const img::Image& a,
                                                  const img::Image* b) {
-  return submit_request(call, a, b, /*forced_shard=*/-1, /*pin_hashes=*/{});
+  return submit_request(call, a, b, /*keys=*/{}, /*forced_shard=*/-1,
+                        /*pin_hashes=*/{}, /*output_key=*/nullptr);
 }
 
 std::future<alib::CallResult> EngineFarm::submit_request(
     const alib::Call& call, const img::Image& a, const img::Image* b,
-    int forced_shard, std::vector<u64> pin_hashes) {
+    core::FrameKeys keys, int forced_shard, std::vector<u64> pin_hashes,
+    u64* output_key) {
   // Fail malformed calls in the caller's context, not on a worker.
   alib::validate_call(call, a, b);
+  // A frame's identity is computed once, here, and travels with the
+  // request: the router, the shard's session and its snapshot bookkeeping
+  // all read these keys instead of hashing the frame again.
+  keys = keys.resolved(a, b);
   if (options_.validate_before_execute)
-    core::static_verify_call(options_.config, call, a, b);
+    core::static_verify_call(options_.config, call, a, b, keys);
   if (options_.admission_budget_cycles > 0) {
     // Static admission: the planned upper bound is available before any
     // backend runs, so an over-budget call never occupies queue space.
@@ -274,15 +293,10 @@ std::future<alib::CallResult> EngineFarm::submit_request(
   request.call = call;
   request.a = &a;
   request.b = b;
+  request.keys = keys;
+  request.output_key = output_key;
   request.forced_shard = forced_shard;
   request.pin_hashes = std::move(pin_hashes);
-  if (options_.affinity_routing || options_.cost_aware_routing ||
-      options_.elastic_state_tracking) {
-    // Elastic tracking needs the hashes too: the worker keys its host-side
-    // resident-frame copies by the same content hash.
-    request.hash_a = core::frame_content_hash(a);
-    request.hash_b = b != nullptr ? core::frame_content_hash(*b) : 0;
-  }
   if (options_.cost_aware_routing) {
     request.transfer_cost_a = frame_transfer_cycles(options_.config, a.size());
     request.transfer_cost_b =
@@ -327,8 +341,8 @@ int EngineFarm::route(const Request& request, bool& affinity_hit) {
       const auto hit = affinity_.find(hash);
       return hash != 0 && hit != affinity_.end() ? hit->second : -1;
     };
-    const int holder_a = holder(request.hash_a);
-    const int holder_b = holder(request.hash_b);
+    const int holder_a = holder(request.keys.a);
+    const int holder_b = holder(request.keys.b);
     for (int s = 0; s < static_cast<int>(shards_.size()); ++s) {
       Shard& shard = *shards_[static_cast<std::size_t>(s)];
       u64 miss_cost = 0;
@@ -361,7 +375,7 @@ int EngineFarm::route(const Request& request, bool& affinity_hit) {
   // Affinity first: a shard already holding one of the input frames skips
   // that frame's strip DMA entirely.
   if (options_.affinity_routing) {
-    for (const u64 hash : {request.hash_a, request.hash_b}) {
+    for (const u64 hash : {request.keys.a, request.keys.b}) {
       if (hash == 0) continue;
       const auto hit = affinity_.find(hash);
       if (hit == affinity_.end()) continue;
@@ -409,8 +423,8 @@ void EngineFarm::dispatch(Request request, int shard_index,
   if (options_.affinity_routing || options_.cost_aware_routing) {
     // The shard will hold these frames after the call; later submissions
     // with the same content follow them (batch-mates included).
-    if (request.hash_a != 0) affinity_[request.hash_a] = shard_index;
-    if (request.hash_b != 0) affinity_[request.hash_b] = shard_index;
+    if (request.keys.a != 0) affinity_[request.keys.a] = shard_index;
+    if (request.keys.b != 0) affinity_[request.keys.b] = shard_index;
   }
   Shard& shard = *shards_[static_cast<std::size_t>(shard_index)];
   std::size_t depth = 0;
@@ -492,9 +506,13 @@ void EngineFarm::worker_loop(Shard& shard) {
       // ordinary traffic (empty vector) clears any previous pins — so a
       // plan's pins never outlive the call they were computed for.
       shard.session.pin_frames(request.pin_hashes);
-      alib::CallResult result =
-          shard.session.execute(request.call, *request.a, request.b);
+      alib::CallResult result = shard.session.execute(
+          request.call, *request.a, request.b, request.keys);
       on_engine = shard.session.stats().fallback_calls == fallbacks_before;
+      // Only an engine-served call left its key in the session (the
+      // software fallback hashes nothing).
+      if (request.output_key != nullptr && on_engine)
+        *request.output_key = shard.session.session().last_output_key();
       // A call that needed whole-call retries streamed its inputs more than
       // once, but the previous call's tail could hide only the *first*
       // attempt's strips.  Crediting overlap to the surviving attempt would
@@ -698,10 +716,10 @@ void EngineFarm::update_resident_frames(Shard& shard, const Request& request,
     it = is_live(it->first) ? std::next(it) : shard.resident.erase(it);
   // Copy in frames that just became resident; the call's own images are
   // the only candidates.  try_emplace: no copy when already tracked.
-  if (is_live(request.hash_a) && request.a != nullptr)
-    shard.resident.try_emplace(request.hash_a, *request.a);
-  if (is_live(request.hash_b) && request.b != nullptr)
-    shard.resident.try_emplace(request.hash_b, *request.b);
+  if (is_live(request.keys.a) && request.a != nullptr)
+    shard.resident.try_emplace(request.keys.a, *request.a);
+  if (is_live(request.keys.b) && request.b != nullptr)
+    shard.resident.try_emplace(request.keys.b, *request.b);
   if (is_live(residency.result_hash))
     shard.resident.try_emplace(residency.result_hash, output);
 }

@@ -322,8 +322,14 @@ class EngineFarm : public alib::Backend {
     alib::Call call;
     const img::Image* a = nullptr;
     const img::Image* b = nullptr;
-    u64 hash_a = 0;  ///< affinity keys (0 when affinity routing is off)
-    u64 hash_b = 0;
+    /// Content keys of the inputs, hashed once at submission and carried
+    /// to the shard's session: routing, residency and snapshots all key
+    /// frames by them.
+    core::FrameKeys keys;
+    /// Where the worker stores the output's content key before completing
+    /// the promise (0 when the session did not hash it); null when the
+    /// submitter has no use for it.
+    u64* output_key = nullptr;
     /// Static per-frame transfer-cycle estimates (cost-aware routing only):
     /// the cycles a shard NOT holding the frame pays to stream it in.
     u64 transfer_cost_a = 0;
@@ -378,14 +384,14 @@ class EngineFarm : public alib::Backend {
 
   void scheduler_loop();
   void worker_loop(Shard& shard);
-  /// The submission path behind submit(): validation, admission, hashing,
-  /// then enqueue.  `forced_shard`/`pin_hashes` carry the plan-directed
-  /// extras (-1 / empty for ordinary traffic).
-  std::future<alib::CallResult> submit_request(const alib::Call& call,
-                                               const img::Image& a,
-                                               const img::Image* b,
-                                               int forced_shard,
-                                               std::vector<u64> pin_hashes);
+  /// The submission path behind submit(): validation, hashing (only the
+  /// keys `keys` lacks), admission, then enqueue.  `forced_shard`,
+  /// `pin_hashes` and `output_key` carry the plan-directed extras (-1 /
+  /// empty / null for ordinary traffic).
+  std::future<alib::CallResult> submit_request(
+      const alib::Call& call, const img::Image& a, const img::Image* b,
+      core::FrameKeys keys, int forced_shard, std::vector<u64> pin_hashes,
+      u64* output_key);
   /// Home shard for a plan-directed program: least-loaded healthy shard
   /// (same key as the load-balancing route), chosen once per program.
   int pick_program_shard();

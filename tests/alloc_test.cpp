@@ -413,7 +413,7 @@ TEST(Farm, ResidencyPlanExecutionIsBitExactAndCounted) {
   const CallProgram program = thrash_program();
   Rng rng(0xA110Cu);
   const std::vector<img::Image> inputs = external_inputs(program, rng);
-  alib::SoftwareBackend reference;
+  test::InterpreterBackend reference;
   const analysis::ProgramRunResult ref =
       analysis::run_program(program, reference, inputs);
 
@@ -439,6 +439,32 @@ TEST(Farm, ResidencyPlanExecutionIsBitExactAndCounted) {
   EXPECT_FALSE(raw.allocated);
   expect_runs_equal(ref, raw.run);
   EXPECT_EQ(plain.stats().planned_programs, 0);
+}
+
+// The home shard follows the plan: with inputs keyed when bound and results
+// keyed by the session that produced them, the frames it transfers, reuses
+// and relocates are exactly the planned ones.
+TEST(Farm, PlannedExecutionMovesExactlyThePlannedFrames) {
+  for (const CallProgram& program : {thrash_program(), chain_program()}) {
+    Rng rng(0xA110Cu);
+    const std::vector<img::Image> inputs = external_inputs(program, rng);
+    serve::FarmOptions options;
+    options.shards = 2;
+    options.residency_plan = true;
+    serve::EngineFarm farm(options);
+    const serve::ProgramExecution exec = farm.execute_program(program, inputs);
+    i64 transferred = 0;
+    i64 reused = 0;
+    i64 relocated = 0;
+    for (const serve::ShardStats& shard : farm.stats().shards) {
+      transferred += shard.session.inputs_transferred;
+      reused += shard.session.inputs_reused - shard.session.board_copies;
+      relocated += shard.session.board_copies;
+    }
+    EXPECT_EQ(transferred, exec.residency.inputs_transferred);
+    EXPECT_EQ(reused, exec.residency.inputs_reused);
+    EXPECT_EQ(relocated, exec.residency.inputs_relocated);
+  }
 }
 
 // ---- aeopt schedule-hint adoption ------------------------------------------
@@ -540,13 +566,13 @@ TEST(AllocFuzz, DifferentialCorpusPlansAreLegalAndNeverRegress) {
 
 // The 200 farm-sweep cases complete the 520-program corpus; every fourth
 // case additionally runs through the farm's plan-directed executor and is
-// held bit-exact against the serial software reference.
+// held bit-exact against the serial interpreter reference.
 TEST(AllocFuzz, FarmCorpusPlansAreLegalAndExecutionsBitExact) {
   serve::FarmOptions options;
   options.shards = 2;
   options.residency_plan = true;
   serve::EngineFarm farm(options);
-  alib::SoftwareBackend reference;
+  test::InterpreterBackend reference;
   Rng rng(0xD1FFu);
   i64 executed = 0;
   for (int i = 0; i < 200; ++i) {
@@ -575,7 +601,7 @@ TEST(AllocFuzz, FusionBiasedProgramsPlanLegallyAndRunBitExact) {
   options.shards = 2;
   options.residency_plan = true;
   serve::EngineFarm farm(options);
-  alib::SoftwareBackend reference;
+  test::InterpreterBackend reference;
   u64 saved = 0;
   for (u64 seed = 1; seed <= 60; ++seed) {
     Rng rng(seed * 0x9E3779B97F4A7C15ull + 0xA30Bu);

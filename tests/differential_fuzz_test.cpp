@@ -8,9 +8,10 @@
 //   * the cycle-accurate engine simulator against the software backend
 //     (single-engine differential, tier2), and
 //   * a multi-shard EngineFarm fed by concurrent clients against a serial
-//     software sweep of the same workload (farm differential, tier2) —
+//     interpreter sweep of the same workload (farm differential, tier2) —
 //     scheduling, affinity routing and strip pipelining must be invisible
-//     in results.
+//     in results.  The farm computes pixels on the kernel backend, so the
+//     reference is the interpreter, never the SoftwareBackend.
 //
 // The generator lives in test_util.hpp (random_any_call) so every suite
 // fuzzes the same call space.  All cases are seeded/deterministic.
@@ -240,7 +241,6 @@ TEST(DifferentialFarmVsSerial, ConcurrentFarmMatchesSerialSweep) {
   };
 
   Rng rng(0xD1FFu);
-  alib::SoftwareBackend sw;
   std::deque<Item> items;
   for (int i = 0; i < 200; ++i) {
     Item item;
@@ -251,8 +251,8 @@ TEST(DifferentialFarmVsSerial, ConcurrentFarmMatchesSerialSweep) {
     // parts of the system under test, not idle code paths.
     item.a = img::make_test_frame(size, 1 + rng.bounded(6));
     item.b = img::make_test_frame(size, 201 + rng.bounded(6));
-    item.ref = sw.execute(item.call, item.a,
-                          item.needs_b ? &item.b : nullptr);
+    item.ref = alib::execute_functional(item.call, item.a,
+                                        item.needs_b ? &item.b : nullptr);
     items.push_back(std::move(item));
   }
 

@@ -12,6 +12,7 @@
 #include <future>
 #include <vector>
 
+#include "addresslib/functional.hpp"
 #include "serve/farm.hpp"
 #include "serve/snapshot.hpp"
 #include "test_util.hpp"
@@ -163,11 +164,10 @@ TEST(ElasticFarmTest, WarmRecoveryRestoresResidencyAfterKill) {
   FarmOptions options;
   options.shards = 1;
   EngineFarm farm(options);
-  alib::SoftwareBackend sw;
   const img::Image x = test::small_frame(7);
   const Call call = Call::make_intra(PixelOp::GradientMag,
                                      alib::Neighborhood::con8());
-  const alib::CallResult ref = sw.execute(call, x);
+  const alib::CallResult ref = alib::execute_functional(call, x);
 
   test::expect_results_equal(ref, farm.execute(call, x));
   test::expect_results_equal(ref, farm.execute(call, x));  // x now resident
@@ -217,11 +217,10 @@ TEST(ElasticFarmTest, ElasticChurnUnderLoadDropsNoAcceptedWork) {
   FarmOptions options;
   options.shards = 2;
   EngineFarm farm(options);
-  alib::SoftwareBackend sw;
   const img::Image a = test::small_frame();
   const img::Image b = test::small_frame_b();
   const Call call = Call::make_inter(PixelOp::AbsDiff);
-  const alib::CallResult ref = sw.execute(call, a, &b);
+  const alib::CallResult ref = alib::execute_functional(call, a, &b);
 
   std::vector<std::future<alib::CallResult>> futures;
   for (int i = 0; i < 40; ++i) futures.push_back(farm.submit(call, a, &b));
@@ -247,13 +246,12 @@ TEST(ElasticFarmTest, ResizeUnderLoadStaysBitExact) {
   FarmOptions options;
   options.shards = 2;
   EngineFarm farm(options);
-  alib::SoftwareBackend sw;
   const img::Image x = test::small_frame(3);
   const img::Image y = test::small_frame_b(4);
   const Call call = Call::make_intra(PixelOp::GradientMag,
                                      alib::Neighborhood::con8());
-  const alib::CallResult ref_x = sw.execute(call, x);
-  const alib::CallResult ref_y = sw.execute(call, y);
+  const alib::CallResult ref_x = alib::execute_functional(call, x);
+  const alib::CallResult ref_y = alib::execute_functional(call, y);
 
   std::vector<std::future<alib::CallResult>> futures;
   const auto wave = [&] {
@@ -284,7 +282,6 @@ TEST(ElasticFarmTest, RebalanceMigratesResidentFramesToFreshShards) {
   FarmOptions options;
   options.shards = 1;
   EngineFarm farm(options);
-  alib::SoftwareBackend sw;
   const img::Image x = test::small_frame(5);
   const img::Image y = test::small_frame_b(6);
   const Call call = Call::make_intra(PixelOp::GradientMag,
@@ -302,8 +299,10 @@ TEST(ElasticFarmTest, RebalanceMigratesResidentFramesToFreshShards) {
   expect_shard_identity(stats);
 
   // The farm still answers bit-exactly for both frames after migration.
-  test::expect_results_equal(sw.execute(call, x), farm.execute(call, x));
-  test::expect_results_equal(sw.execute(call, y), farm.execute(call, y));
+  test::expect_results_equal(alib::execute_functional(call, x),
+                             farm.execute(call, x));
+  test::expect_results_equal(alib::execute_functional(call, y),
+                             farm.execute(call, y));
 }
 
 TEST(ElasticFarmTest, RestoreRejectsRottenBlobAndKeepsServing) {
@@ -313,16 +312,17 @@ TEST(ElasticFarmTest, RestoreRejectsRottenBlobAndKeepsServing) {
   rot.snapshot_corrupt_rate = 1.0;  // every snapshot decays at rest
   options.shard_faults = {rot};
   EngineFarm farm(options);
-  alib::SoftwareBackend sw;
   const img::Image x = test::small_frame(9);
   const Call call = Call::make_intra(PixelOp::Copy,
                                      alib::Neighborhood::con0());
-  test::expect_results_equal(sw.execute(call, x), farm.execute(call, x));
+  test::expect_results_equal(alib::execute_functional(call, x),
+                             farm.execute(call, x));
 
   const std::vector<u8> blob = farm.snapshot_shard(0);
   EXPECT_THROW(farm.restore_shard(0, blob), serve::SnapshotCorruption);
   // Rejecting the blob left the shard serving with its previous state.
-  test::expect_results_equal(sw.execute(call, x), farm.execute(call, x));
+  test::expect_results_equal(alib::execute_functional(call, x),
+                             farm.execute(call, x));
   const FarmStats stats = farm.stats();
   EXPECT_EQ(stats.snapshots_taken, 1);
   EXPECT_EQ(stats.restores, 0);
@@ -337,7 +337,6 @@ TEST(ElasticFarmTest, RestoreTimeTransportFaultsDegradeFramesToCold) {
   noisy.restore_corrupt_rate = 1.0;  // every restored word flips in flight
   options.shard_faults = {noisy};
   EngineFarm farm(options);
-  alib::SoftwareBackend sw;
   const img::Image x = test::small_frame(10);
 
   // A hand-built snapshot with one resident frame: the restore streams it
@@ -353,7 +352,8 @@ TEST(ElasticFarmTest, RestoreTimeTransportFaultsDegradeFramesToCold) {
 
   const Call call = Call::make_intra(PixelOp::Copy,
                                      alib::Neighborhood::con0());
-  test::expect_results_equal(sw.execute(call, x), farm.execute(call, x));
+  test::expect_results_equal(alib::execute_functional(call, x),
+                             farm.execute(call, x));
   const FarmStats stats = farm.stats();
   EXPECT_EQ(stats.restores, 1);
   EXPECT_GT(stats.shards[0].resilient.detections.restore_crc_mismatches, 0u);
@@ -418,7 +418,6 @@ TEST(ElasticChaosTest, DifferentialFuzzSurvivesShardChurn) {
   faulty.restore_corrupt_rate = 0.0005;
   options.shard_faults = {core::FaultPlan{}, faulty};  // shard 1 is the bad board
   EngineFarm farm(options);
-  alib::SoftwareBackend sw;
 
   // A small pool of recurring frames keeps residency, affinity and
   // snapshot content live across the run.
@@ -446,7 +445,7 @@ TEST(ElasticChaosTest, DifferentialFuzzSurvivesShardChurn) {
     const img::Image* b =
         needs_b ? &pool[rng.bounded(static_cast<u32>(pool.size()))] : nullptr;
     Pending p;
-    p.ref = sw.execute(call, a, b);
+    p.ref = alib::execute_functional(call, a, b);
     p.future = farm.submit(call, a, b);
     pending.push_back(std::move(p));
 

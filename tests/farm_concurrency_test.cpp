@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "addresslib/functional.hpp"
 #include "serve/farm.hpp"
 #include "test_util.hpp"
 
@@ -38,7 +39,6 @@ struct WorkItem {
 /// chew on, like a video pipeline revisiting reference frames.
 std::deque<WorkItem> make_workload(u64 seed, int count) {
   Rng rng(seed);
-  alib::SoftwareBackend sw;
   std::deque<WorkItem> items;
   for (int i = 0; i < count; ++i) {
     WorkItem item;
@@ -46,8 +46,8 @@ std::deque<WorkItem> make_workload(u64 seed, int count) {
     item.call = test::random_any_call(rng, size, item.needs_b);
     item.a = img::make_test_frame(size, 1 + rng.bounded(4));
     item.b = img::make_test_frame(size, 101 + rng.bounded(4));
-    item.ref = sw.execute(item.call, item.a,
-                          item.needs_b ? &item.b : nullptr);
+    item.ref = alib::execute_functional(item.call, item.a,
+                                        item.needs_b ? &item.b : nullptr);
     items.push_back(std::move(item));
   }
   return items;

@@ -1,5 +1,8 @@
 // EngineFarm basics (tier1): bit-exactness through the Backend interface,
 // affinity routing, strip pipelining, option validation and accounting.
+// References come from the interpreter (alib::execute_functional): the farm
+// computes pixels on the kernel backend, so only the interpreter is an
+// independent oracle.
 // The heavy multi-threaded stress lives in farm_concurrency_test (tier2).
 #include <gtest/gtest.h>
 
@@ -7,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "addresslib/functional.hpp"
 #include "serve/farm.hpp"
 #include "test_util.hpp"
 
@@ -38,17 +42,17 @@ TEST(FarmTest, BackendInterfaceIsBitExact) {
   FarmOptions options;
   options.shards = 2;
   EngineFarm farm(options);
-  alib::SoftwareBackend sw;
   const img::Image a = test::small_frame();
   const img::Image b = test::small_frame_b();
 
   for (const Call& call : test::representative_intra_calls()) {
     SCOPED_TRACE(call.describe());
-    test::expect_results_equal(sw.execute(call, a), farm.execute(call, a));
+    test::expect_results_equal(alib::execute_functional(call, a),
+                             farm.execute(call, a));
   }
   for (const Call& call : test::representative_inter_calls()) {
     SCOPED_TRACE(call.describe());
-    test::expect_results_equal(sw.execute(call, a, &b),
+    test::expect_results_equal(alib::execute_functional(call, a, &b),
                                farm.execute(call, a, &b));
   }
 }
@@ -59,9 +63,8 @@ TEST(FarmTest, AsyncSubmissionCompletesEverything) {
   EngineFarm farm(options);
   const img::Image a = test::small_frame();
   const img::Image b = test::small_frame_b();
-  alib::SoftwareBackend sw;
   const Call call = Call::make_inter(PixelOp::AbsDiff);
-  const alib::CallResult ref = sw.execute(call, a, &b);
+  const alib::CallResult ref = alib::execute_functional(call, a, &b);
 
   std::vector<std::future<alib::CallResult>> futures;
   for (int i = 0; i < 24; ++i) futures.push_back(farm.submit(call, a, &b));
@@ -223,11 +226,11 @@ TEST(FarmTest, RetriedCallsDoNotClaimPipelineOverlap) {
 
 TEST(FarmTest, SegmentCallsFlowThroughTheFarm) {
   EngineFarm farm;
-  alib::SoftwareBackend sw;
   const img::Image a = test::small_frame(7);
   Rng rng(42);
   const Call call = test::random_segment_call(rng, a.size());
-  test::expect_results_equal(sw.execute(call, a), farm.execute(call, a));
+  test::expect_results_equal(alib::execute_functional(call, a),
+                             farm.execute(call, a));
 }
 
 TEST(FarmTest, MalformedCallsThrowInTheCallerContext) {
@@ -238,8 +241,8 @@ TEST(FarmTest, MalformedCallsThrowInTheCallerContext) {
   // The farm keeps serving after a rejected submission.
   const Call intra = Call::make_intra(PixelOp::Copy,
                                       alib::Neighborhood::con0());
-  alib::SoftwareBackend sw;
-  test::expect_results_equal(sw.execute(intra, a), farm.execute(intra, a));
+  test::expect_results_equal(alib::execute_functional(intra, a),
+                             farm.execute(intra, a));
 }
 
 TEST(FarmTest, SchedulerTraceRecordsQueueAndOccupancy) {
@@ -299,7 +302,7 @@ TEST(FarmTest, ConcurrentShutdownIsSerialized) {
 // ---- aeplan integration: cost-aware routing and admission control ----------
 
 // Routing policy may only change placement, never results: a cost-aware
-// farm, a hash-affinity farm and a serial software sweep must agree
+// farm, a hash-affinity farm and a serial interpreter sweep must agree
 // bit-exactly on a mixed workload across all addressing modes.
 TEST(FarmCostAwareTest, RoutingIsBitExactWithAffinityRouting) {
   Rng rng(0xAE91u);
@@ -320,7 +323,6 @@ TEST(FarmCostAwareTest, RoutingIsBitExactWithAffinityRouting) {
     items.push_back(std::move(item));
   }
 
-  alib::SoftwareBackend sw;
   FarmOptions affinity;
   affinity.shards = 3;
   FarmOptions cost_aware;
@@ -339,7 +341,7 @@ TEST(FarmCostAwareTest, RoutingIsBitExactWithAffinityRouting) {
   for (std::size_t i = 0; i < items.size(); ++i) {
     SCOPED_TRACE("case " + std::to_string(i) + ": " +
                  items[i].call.describe());
-    const alib::CallResult ref = sw.execute(
+    const alib::CallResult ref = alib::execute_functional(
         items[i].call, items[i].a, items[i].needs_b ? &items[i].b : nullptr);
     test::expect_results_equal(ref, from_affinity[i].get());
     test::expect_results_equal(ref, from_cost[i].get());
@@ -400,11 +402,11 @@ TEST(FarmAdmissionTest, GenerousBudgetAdmitsAndStaysBitExact) {
   FarmOptions options;
   options.admission_budget_cycles = 1'000'000'000;  // admits everything
   EngineFarm farm(options);
-  alib::SoftwareBackend sw;
   const img::Image a = test::small_frame();
   const Call call = Call::make_intra(PixelOp::GradientMag,
                                      alib::Neighborhood::con8());
-  test::expect_results_equal(sw.execute(call, a), farm.execute(call, a));
+  test::expect_results_equal(alib::execute_functional(call, a),
+                             farm.execute(call, a));
   farm.drain();
   EXPECT_EQ(farm.stats().admission_rejected, 0);
   EXPECT_EQ(farm.stats().completed, 1);

@@ -764,7 +764,7 @@ TEST(Farm, OptimizeOnSubmitRewritesWholePrograms) {
   Rng rng(0xFA23u);
   const std::vector<img::Image> inputs = {
       img::make_test_frame(kFrame, rng.next_u64())};
-  alib::SoftwareBackend reference;
+  test::InterpreterBackend reference;
   const ProgramRunResult ref =
       analysis::run_program(program, reference, inputs);
 

@@ -6,6 +6,7 @@
 
 #include <vector>
 
+#include "addresslib/functional.hpp"
 #include "core/core.hpp"
 #include "core/session.hpp"
 #include "test_util.hpp"
@@ -27,8 +28,7 @@ alib::Call segment_call() {
 
 void expect_matches_software(const alib::CallResult& got, const Call& call,
                              const img::Image& a, const img::Image* b) {
-  alib::SoftwareBackend sw;
-  const alib::CallResult ref = sw.execute(call, a, b);
+  const alib::CallResult ref = alib::execute_functional(call, a, b);
   test::expect_images_equal(ref.output, got.output, call.out_channels);
   EXPECT_EQ(ref.side.sad, got.side.sad);
   EXPECT_EQ(ref.side.histogram, got.side.histogram);
@@ -229,7 +229,6 @@ TEST(Resilient, PropertySweepBitExactUnderRandomFaults) {
   // injected faults are always detected somewhere.
   const img::Image a = test::small_frame();
   const img::Image b = test::small_frame_b();
-  alib::SoftwareBackend sw;
   for (const u64 seed : {11ull, 42ull}) {
     for (const double rate : {1e-4, 1e-3}) {
       ResilientOptions options;
@@ -245,7 +244,7 @@ TEST(Resilient, PropertySweepBitExactUnderRandomFaults) {
       for (const Call& call : test::representative_intra_calls()) {
         SCOPED_TRACE(call.describe());
         const alib::CallResult r = res.execute(call, a);
-        const alib::CallResult ref = sw.execute(call, a);
+        const alib::CallResult ref = alib::execute_functional(call, a);
         test::expect_images_equal(ref.output, r.output, call.out_channels);
         EXPECT_EQ(ref.side.sad, r.side.sad);
         EXPECT_EQ(ref.side.histogram, r.side.histogram);
@@ -253,14 +252,14 @@ TEST(Resilient, PropertySweepBitExactUnderRandomFaults) {
       for (const Call& call : test::representative_inter_calls()) {
         SCOPED_TRACE(call.describe());
         const alib::CallResult r = res.execute(call, a, &b);
-        const alib::CallResult ref = sw.execute(call, a, &b);
+        const alib::CallResult ref = alib::execute_functional(call, a, &b);
         test::expect_images_equal(ref.output, r.output, call.out_channels);
         EXPECT_EQ(ref.side.sad, r.side.sad);
       }
       {
         const Call call = segment_call();
         const alib::CallResult r = res.execute(call, a);
-        const alib::CallResult ref = sw.execute(call, a);
+        const alib::CallResult ref = alib::execute_functional(call, a);
         test::expect_images_equal(ref.output, r.output, call.out_channels);
         EXPECT_EQ(ref.segments.size(), r.segments.size());
       }

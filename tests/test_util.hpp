@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "addresslib/addresslib.hpp"
+#include "addresslib/functional.hpp"
 #include "analysis/program.hpp"
 #include "common/rng.hpp"
 #include "image/compare.hpp"
@@ -55,6 +56,19 @@ inline void expect_results_equal(const alib::CallResult& ref,
     EXPECT_TRUE(r.bbox == o.bbox) << "segment " << i << " bbox";
   }
 }
+
+/// The interpreter (alib::execute_functional) as a Backend: the oracle for
+/// whole-program runs through backends that compute pixels on the kernels
+/// (the farm, the sessions, SoftwareBackend), which a kernel-backed
+/// reference could not check independently.
+class InterpreterBackend : public alib::Backend {
+ public:
+  std::string name() const override { return "interpreter"; }
+  alib::CallResult execute(const alib::Call& call, const img::Image& a,
+                           const img::Image* b = nullptr) override {
+    return alib::execute_functional(call, a, b);
+  }
+};
 
 /// A representative set of intra calls covering every intra op.
 std::vector<alib::Call> representative_intra_calls();
