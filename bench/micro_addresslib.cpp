@@ -191,6 +191,17 @@ std::vector<KernWorkload>& kern_workloads() {
                                   ChannelMask::yuv()),
                  true, nullptr, 1.49});
     {
+      // The GME normal-equation accumulator at the estimator's first-pass
+      // robust cutoff.  It had no lowering and fell back to the
+      // interpreter: the "before" speedup is fallback parity, 1.00.
+      OpParams p;
+      p.threshold = 64;
+      v.push_back({"InterGmeAccum",
+                   Call::make_inter(PixelOp::GmeAccum, ChannelMask::y(),
+                                    ChannelMask::y(), p),
+                   true, nullptr, 1.00});
+    }
+    {
       OpParams p;
       p.coeffs.assign(9, 1);
       p.shift = 3;

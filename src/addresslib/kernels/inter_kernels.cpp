@@ -3,6 +3,7 @@
 // the same inline function the interpreter executes — called with a
 // constant op so the switch disappears and the loop body is the bare
 // per-channel expression, which the compiler can auto-vectorize.
+#include <array>
 #include <cstring>
 
 #include "addresslib/kernels/row_kernels.hpp"
@@ -121,6 +122,47 @@ void inter_row(const InterRowArgs& args) {
   }
 }
 
+/// GmeAccum: Y = |a.y - b.y|, every other channel from `a` (apply_inter
+/// ignores the output mask for this op); pixels within the robust cutoff add
+/// their normal-equation terms from the gradients packed in b.Alfa/b.Aux.
+/// Outliers are masked to zero instead of branched around, so they add
+/// exactly nothing.  The terms are the interpreter's i64 products and i64/u64
+/// addition is associative, so the per-row locals merged band by band are
+/// bit-exact with its per-pixel order.
+void gme_accum_row(const InterRowArgs& args) {
+  std::memcpy(args.out, args.a,
+              sizeof(img::Pixel) * static_cast<std::size_t>(args.n));
+  const img::Pixel* a = args.a;
+  const img::Pixel* b = args.b;
+  img::Pixel* out = args.out;
+  const i64 cutoff = args.params->threshold;
+  i64 gxx = 0, gxy = 0, gyy = 0, gxr = 0, gyr = 0, inliers = 0;
+  u64 sad = 0;
+  for (i32 i = 0; i < args.n; ++i) {
+    const i64 r = static_cast<i64>(a[i].y) - b[i].y;
+    const i64 abs_r = r < 0 ? -r : r;
+    const i64 inlier = abs_r <= cutoff ? 1 : 0;
+    const i64 gx = (static_cast<i64>(b[i].alfa) - kGradBias) * inlier;
+    const i64 gy = (static_cast<i64>(b[i].aux) - kGradBias) * inlier;
+    gxx += gx * gx;
+    gxy += gx * gy;
+    gyy += gy * gy;
+    gxr += gx * r;
+    gyr += gy * r;
+    inliers += inlier;
+    sad += static_cast<u64>(abs_r);
+    out[i].y = static_cast<u8>(abs_r);
+  }
+  std::array<i64, 6>& gme = args.side->gme;
+  gme[0] += gxx;
+  gme[1] += gxy;
+  gme[2] += gyy;
+  gme[3] += gxr;
+  gme[4] += gyr;
+  gme[5] += inliers;
+  args.side->sad += sad;
+}
+
 }  // namespace
 
 InterRowFn lower_inter_row(PixelOp op) {
@@ -138,9 +180,11 @@ InterRowFn lower_inter_row(PixelOp op) {
     case PixelOp::BitAnd: return &inter_row<PixelOp::BitAnd>;
     case PixelOp::BitOr: return &inter_row<PixelOp::BitOr>;
     case PixelOp::BitXor: return &inter_row<PixelOp::BitXor>;
+    case PixelOp::GmeAccum: return &gme_accum_row;
     default:
-      // The Gme* accumulators carry position-dependent normal-equation
-      // state; they stay on the generic interpreter path.
+      // GmeAccumAffine needs the pixel position, which InterRowArgs does
+      // not carry; GmePerspective sums in binary64, so merging band sums
+      // would not be bit-exact.  Both stay on the interpreter.
       return nullptr;
   }
 }

@@ -25,8 +25,12 @@
 // the result: the op reads only the input frame, each visited pixel is
 // written exactly once, and side accumulators are commutative sums.  The
 // traversal is inherently sequential, so it does not band across the pool;
-// the win is sparsity and batching, not threads.  Calls with no lowering
-// (the Gme* accumulators) transparently fall back to the interpreter.
+// the win is sparsity and batching, not threads.  GmeAccum is lowered like
+// Sad: i64 normal-equation sums per band, merged in band order.  Calls with
+// no lowering transparently fall back to the interpreter: GmeAccumAffine
+// needs the pixel position, which the inter row kernels do not receive, and
+// GmePerspective sums in binary64, so merging band sums would not be
+// bit-exact.
 //
 // alib::execute (below) is the host's one pixel dispatch: every backend
 // computes its pixels through it and adds only its own accounting on top.
@@ -84,9 +88,9 @@ class KernelBackend {
 
 /// The one host execution entry point: runs `call` on a KernelBackend with
 /// `options` (the shared pool by default), which uses the interpreter only
-/// for calls with no lowering.  Bit-exact with execute_functional,
-/// SegmentRunInfo included, so every cost model priced from `info` sees the
-/// same inputs it would from the interpreter.
+/// for calls with no lowering (GmeAccumAffine, GmePerspective).  Bit-exact
+/// with execute_functional, SegmentRunInfo included, so every cost model
+/// priced from `info` sees the same inputs it would from the interpreter.
 CallResult execute(const Call& call, const img::Image& a, const img::Image* b,
                    SegmentRunInfo& info, const KernelOptions& options = {});
 

@@ -40,7 +40,7 @@ struct InterRowArgs {
 using InterRowFn = void (*)(const InterRowArgs&);
 
 /// The specialized row kernel of an inter op, or nullptr when the op has no
-/// flat lowering (the Gme* normal-equation accumulators).
+/// flat lowering (GmeAccumAffine and GmePerspective).
 InterRowFn lower_inter_row(PixelOp op);
 
 /// One compare step of a median selection network.  `lo`/`hi` are tap

@@ -6,10 +6,6 @@
 namespace ae::gme {
 namespace {
 
-/// Sobel responses are 8x the central-difference derivative; the solved
-/// update has to be scaled back accordingly.
-constexpr double kSobelGain = 8.0;
-
 alib::Call make_gradpack_call() {
   return alib::Call::make_intra(
       alib::PixelOp::GradientPack, alib::Neighborhood::con8(),

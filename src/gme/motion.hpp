@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cmath>
+#include <functional>
 #include <string>
 
 #include "image/image.hpp"
@@ -28,10 +29,26 @@ struct Translation {
 
 std::string to_string(Translation t);
 
+/// Sobel responses are 8x the central-difference derivative; every solved
+/// update is scaled back by this gain.
+inline constexpr double kSobelGain = 8.0;
+
 /// Warps `src` by `t`: out(x, y) = src(x + dx, y + dy), bilinear on Y/U/V,
 /// border-replicated.  Side channels are not interpolated (they carry
-/// packed gradients that are recomputed after warping).
+/// packed gradients that are recomputed after warping).  Throws
+/// InvalidArgument unless both components are finite.
 img::Image warp_translational(const img::Image& src, Translation t);
+
+namespace detail {  // the sampler every warp shares
+/// Writes the bilinear sample of `src` at (sx, sy) to `out`, border
+/// replicated; Alfa/Aux come from the top-left tap.
+void sample_bilinear(const img::Image& src, double sx, double sy,
+                     img::Pixel& out);
+/// A src-sized image whose rows are filled by `row(y, out_row)`, banded
+/// across the shared pool with decimate2's 16-row grain.
+img::Image warp_rows(const img::Image& src,
+                     const std::function<void(i32, img::Pixel*)>& row);
+}  // namespace detail
 
 /// Decimates by two with 2x2 averaging (pyramid construction).
 img::Image decimate2(const img::Image& src);

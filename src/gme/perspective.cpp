@@ -6,11 +6,6 @@
 #include "common/error.hpp"
 
 namespace ae::gme {
-namespace {
-
-constexpr double kSobelGain = 8.0;
-
-}  // namespace
 
 std::string to_string(const PerspectiveMotion& m) {
   std::ostringstream os;
@@ -22,40 +17,16 @@ std::string to_string(const PerspectiveMotion& m) {
 
 img::Image warp_perspective(const img::Image& src,
                             const PerspectiveMotion& m) {
-  AE_EXPECTS(!src.empty(), "cannot warp an empty image");
-  img::Image out(src.size());
-  for (i32 y = 0; y < src.height(); ++y) {
+  return detail::warp_rows(src, [&](i32 y, img::Pixel* out) {
     for (i32 x = 0; x < src.width(); ++x) {
       double sx = 0.0;
       double sy = 0.0;
-      if (!m.apply(x, y, sx, sy)) {
-        out.ref(x, y) = src.clamped(x, y);
-        continue;
-      }
-      const double fx = std::floor(sx);
-      const double fy = std::floor(sy);
-      const auto x0 = static_cast<i32>(fx);
-      const auto y0 = static_cast<i32>(fy);
-      const double wx = sx - fx;
-      const double wy = sy - fy;
-      const img::Pixel& p00 = src.clamped(x0, y0);
-      const img::Pixel& p10 = src.clamped(x0 + 1, y0);
-      const img::Pixel& p01 = src.clamped(x0, y0 + 1);
-      const img::Pixel& p11 = src.clamped(x0 + 1, y0 + 1);
-      auto lerp2 = [&](u8 a, u8 b, u8 c, u8 d) {
-        const double top = a + (b - a) * wx;
-        const double bot = c + (d - c) * wx;
-        return static_cast<u8>(std::lround(top + (bot - top) * wy));
-      };
-      img::Pixel& o = out.ref(x, y);
-      o.y = lerp2(p00.y, p10.y, p01.y, p11.y);
-      o.u = lerp2(p00.u, p10.u, p01.u, p11.u);
-      o.v = lerp2(p00.v, p10.v, p01.v, p11.v);
-      o.alfa = p00.alfa;
-      o.aux = p00.aux;
+      if (m.apply(x, y, sx, sy))
+        detail::sample_bilinear(src, sx, sy, out[x]);
+      else
+        out[x] = src.clamped(x, y);
     }
-  }
-  return out;
+  });
 }
 
 bool solve_perspective_step(

@@ -20,6 +20,7 @@
 #include <deque>
 #include <future>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "addresslib/kernels/kernel_backend.hpp"
@@ -193,6 +194,63 @@ TEST(KernelVsFunctionalAdversarial, FloodMasksAreBitExact) {
       EXPECT_EQ(ref_info.processed_pixels, info.processed_pixels);
       EXPECT_EQ(ref_info.criterion_tests, info.criterion_tests);
     });
+  }
+}
+
+// The GmeAccum row kernel: |r| into Y, i64 normal-equation sums and the SAD
+// through the side port.  Thresholds span "no inliers but exact matches" to
+// "every pixel votes"; b's packed gradients are set to the bias extremes
+// (most negative, zero and most positive gradient, and mixed), plus a real
+// GradientPack output as the estimator feeds it.  The position-dependent
+// GmeAccumAffine and the binary64 GmePerspective stay on the interpreter.
+TEST(KernelVsFunctionalGme, AccumulatorIsBitExactAcrossThreadCounts) {
+  const auto call_for = [](alib::PixelOp op) {
+    alib::OpParams p;
+    p.warp_params = {0, 1, 0, 0, 0, 1, 0, 0};
+    return Call::make_inter(op, ChannelMask::y(), ChannelMask::y(), p);
+  };
+  EXPECT_TRUE(alib::KernelBackend::supports(call_for(alib::PixelOp::GmeAccum)));
+  EXPECT_FALSE(
+      alib::KernelBackend::supports(call_for(alib::PixelOp::GmeAccumAffine)));
+  EXPECT_FALSE(
+      alib::KernelBackend::supports(call_for(alib::PixelOp::GmePerspective)));
+
+  const Call gradpack = Call::make_intra(
+      alib::PixelOp::GradientPack, alib::Neighborhood::con8(),
+      ChannelMask::y(), ChannelMask::alfa().with(Channel::Aux));
+  constexpr auto kBias = static_cast<u16>(alib::kGradBias);
+  const std::pair<u16, u16> kSideFills[] = {
+      {0, 0}, {kBias, kBias}, {0xFFFF, 0xFFFF}, {0, 0xFFFF}};
+  static const Size kSizes[] = {{1, 1}, {7, 1}, {1, 9}, {17, 3}, {352, 288}};
+  Rng rng(0x6AEu);
+  KernelConfigs configs;
+  for (const Size size : kSizes) {
+    const img::Image a = img::make_test_frame(size, rng.next_u64());
+    std::vector<img::Image> bs;
+    bs.push_back(alib::execute_functional(
+                     gradpack, img::make_test_frame(size, rng.next_u64()))
+                     .output);
+    for (const auto& [alfa, aux] : kSideFills) {
+      img::Image b = img::make_test_frame(size, rng.next_u64());
+      b.fill_channel(Channel::Alfa, alfa);
+      b.fill_channel(Channel::Aux, aux);
+      bs.push_back(std::move(b));
+    }
+    for (const i32 threshold : {0, 1, 64, 255}) {
+      alib::OpParams p;
+      p.threshold = threshold;
+      const Call call = Call::make_inter(alib::PixelOp::GmeAccum,
+                                         ChannelMask::y(), ChannelMask::y(), p);
+      for (std::size_t bi = 0; bi < bs.size(); ++bi) {
+        const alib::CallResult ref = alib::execute_functional(call, a, &bs[bi]);
+        configs.for_each([&](const alib::KernelBackend& kernels,
+                             const char* config) {
+          SCOPED_TRACE(std::string("[") + config + "] " + call.describe() +
+                       " b#" + std::to_string(bi) + " on " + to_string(size));
+          test::expect_results_equal(ref, kernels.execute(call, a, &bs[bi]));
+        });
+      }
+    }
   }
 }
 

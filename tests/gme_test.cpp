@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
+#include "gme/affine.hpp"
 #include "gme/estimator.hpp"
 #include "gme/mosaic.hpp"
+#include "gme/perspective.hpp"
 #include "gme/platform.hpp"
 #include "gme/pyramid.hpp"
 #include "image/compare.hpp"
@@ -24,6 +27,161 @@ img::SyntheticSequence make_sequence(double dx, double dy, int frames = 4,
   p.seed = 42;
   p.script = img::MotionScript{dx, dy, 0.0, 1.0, 0.0};
   return img::SyntheticSequence(p);
+}
+
+// The scalar warp loop the banded sampler replaced, kept verbatim as the
+// oracle: four clamped() taps and the same double lerps per pixel.  `map`
+// returns false where the warp degenerates (the perspective fallback).
+// Coordinates must stay inside the i32 range, or the oracle's own cast is
+// undefined.
+template <typename Map>
+img::Image scalar_warp(const img::Image& src, Map map) {
+  img::Image out(src.size());
+  for (i32 y = 0; y < src.height(); ++y) {
+    for (i32 x = 0; x < src.width(); ++x) {
+      double sx = 0.0;
+      double sy = 0.0;
+      if (!map(x, y, sx, sy)) {
+        out.ref(x, y) = src.clamped(x, y);
+        continue;
+      }
+      const double fx = std::floor(sx);
+      const double fy = std::floor(sy);
+      const auto x0 = static_cast<i32>(fx);
+      const auto y0 = static_cast<i32>(fy);
+      const double wx = sx - fx;
+      const double wy = sy - fy;
+      const img::Pixel& p00 = src.clamped(x0, y0);
+      const img::Pixel& p10 = src.clamped(x0 + 1, y0);
+      const img::Pixel& p01 = src.clamped(x0, y0 + 1);
+      const img::Pixel& p11 = src.clamped(x0 + 1, y0 + 1);
+      auto lerp2 = [&](u8 a, u8 b, u8 c, u8 d) {
+        const double top = a + (b - a) * wx;
+        const double bot = c + (d - c) * wx;
+        return static_cast<u8>(std::lround(top + (bot - top) * wy));
+      };
+      img::Pixel& o = out.ref(x, y);
+      o.y = lerp2(p00.y, p10.y, p01.y, p11.y);
+      o.u = lerp2(p00.u, p10.u, p01.u, p11.u);
+      o.v = lerp2(p00.v, p10.v, p01.v, p11.v);
+      o.alfa = p00.alfa;
+      o.aux = p00.aux;
+    }
+  }
+  return out;
+}
+
+img::Image scalar_warp_translational(const img::Image& src, Translation t) {
+  return scalar_warp(src, [&](i32 x, i32 y, double& sx, double& sy) {
+    sx = x + t.dx;
+    sy = y + t.dy;
+    return true;
+  });
+}
+
+img::Image scalar_warp_affine(const img::Image& src, const AffineMotion& m) {
+  return scalar_warp(src, [&](i32 x, i32 y, double& sx, double& sy) {
+    m.apply(x, y, sx, sy);
+    return true;
+  });
+}
+
+img::Image scalar_warp_perspective(const img::Image& src,
+                                   const PerspectiveMotion& m) {
+  return scalar_warp(src, [&](i32 x, i32 y, double& sx, double& sy) {
+    return m.apply(x, y, sx, sy);
+  });
+}
+
+const Size kWarpSizes[] = {{1, 1}, {7, 5}, {33, 17}, {352, 288}};
+
+// Integer, half-pixel, negative, fractional and beyond-the-frame offsets.
+const Translation kWarpOffsets[] = {
+    {0.0, 0.0},    {3.0, 2.0},      {0.5, 0.5},     {-0.5, 1.5},
+    {-2.0, -7.0},  {1.25, -3.75},   {-0.3, 0.7},    {400.0, -0.5},
+    {-1e6, 2.5},   {0.5, 1e6},      {-1.0, -1.0},   {1e-9, -1e-9}};
+
+TEST(WarpOracle, TranslationalMatchesScalarWarp) {
+  for (const Size size : kWarpSizes) {
+    const img::Image src = img::make_test_frame(size, 11);
+    for (const Translation t : kWarpOffsets) {
+      SCOPED_TRACE(to_string(size) + " by " + to_string(t));
+      EXPECT_TRUE(warp_translational(src, t) ==
+                  scalar_warp_translational(src, t));
+    }
+  }
+}
+
+TEST(WarpOracle, AffineMatchesScalarWarp) {
+  for (const Size size : kWarpSizes) {
+    const img::Image src = img::make_test_frame(size, 12);
+    for (const Translation t : kWarpOffsets) {
+      AffineMotion m = AffineMotion::from_translation(t);
+      m.a1 = 1.02;
+      m.a2 = -0.03;
+      m.a4 = 0.01;
+      m.a5 = 0.97;
+      SCOPED_TRACE(to_string(size) + " by " + to_string(m));
+      EXPECT_TRUE(warp_affine(src, m) == scalar_warp_affine(src, m));
+      const AffineMotion pure = AffineMotion::from_translation(t);
+      EXPECT_TRUE(warp_affine(src, pure) == scalar_warp_affine(src, pure));
+    }
+  }
+}
+
+TEST(WarpOracle, PerspectiveMatchesScalarWarpIncludingDegeneratePixels) {
+  for (const Size size : kWarpSizes) {
+    const img::Image src = img::make_test_frame(size, 13);
+    PerspectiveMotion m;
+    m.p = {1.5, 0.98, 0.02, -2.25, -0.01, 1.01, 1e-4, -2e-4};
+    EXPECT_TRUE(warp_perspective(src, m) == scalar_warp_perspective(src, m));
+    // The denominator 1 + c0 x + c1 y drops below 0.25 past x = 30 (and to
+    // zero at x = 40): those pixels take the clamped-copy fallback.
+    PerspectiveMotion degenerate;
+    degenerate.p = {0.5, 1.0, 0.0, 0.0, 0.0, 1.0, -0.025, 0.0};
+    SCOPED_TRACE(to_string(size) + " by " + to_string(degenerate));
+    const img::Image out = warp_perspective(src, degenerate);
+    EXPECT_TRUE(out == scalar_warp_perspective(src, degenerate));
+    if (size.width > 40) {
+      EXPECT_TRUE(out.at(40, 0) == src.at(40, 0));
+    }
+  }
+}
+
+// Source coordinates past the i32 range (or not numbers at all) used to
+// reach an undefined float-to-int cast.  A non-finite translation is
+// rejected; huge finite ones replicate the border, as any offset past the
+// edge does.
+TEST(WarpRange, NonFiniteTranslationIsRejected) {
+  const img::Image src = img::make_test_frame(Size{8, 6}, 14);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(warp_translational(src, {nan, 0.0}), InvalidArgument);
+  EXPECT_THROW(warp_translational(src, {0.0, inf}), InvalidArgument);
+  EXPECT_THROW(warp_translational(src, {-inf, nan}), InvalidArgument);
+  alib::SoftwareBackend be;
+  GmeEstimator est(be);
+  const Pyramid pyr = build_pyramid(be, img::make_test_frame({64, 64}, 1), 2);
+  EXPECT_THROW(est.estimate(pyr, pyr, Translation{nan, 0.0}), InvalidArgument);
+}
+
+TEST(WarpRange, FarOutOfRangeCoordinatesReplicateTheBorder) {
+  const img::Image src = img::make_test_frame(Size{8, 6}, 15);
+  const img::Image right = warp_translational(src, {3e9, 0.0});
+  const img::Image up = warp_translational(src, {0.0, -3e9});
+  for (i32 y = 0; y < src.height(); ++y)
+    for (i32 x = 0; x < src.width(); ++x) {
+      EXPECT_TRUE(right.at(x, y) == src.at(src.width() - 1, y));
+      EXPECT_TRUE(up.at(x, y) == src.at(x, 0));
+    }
+  AffineMotion far;
+  far.a1 = 1e12;  // every row's x coordinate leaves the i32 range
+  const img::Image affine = warp_affine(src, far);
+  for (i32 y = 0; y < src.height(); ++y)
+    EXPECT_TRUE(affine.at(src.width() - 1, y) == src.at(src.width() - 1, y));
+  PerspectiveMotion huge;
+  huge.p[0] = -1e300;
+  EXPECT_TRUE(warp_perspective(src, huge).at(3, 2) == src.at(0, 2));
 }
 
 TEST(Warp, IntegerShiftIsExact) {
