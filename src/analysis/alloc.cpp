@@ -8,6 +8,7 @@
 
 #include "analysis/diagnostic.hpp"
 #include "core/config.hpp"
+#include "core/residency.hpp"
 
 namespace ae::analysis {
 namespace {
@@ -22,17 +23,6 @@ u64 frame_words(const CallProgram& program, i32 frame) {
   return size.area() > 0 ? 2 * static_cast<u64>(size.area()) : 0;
 }
 
-/// Same predicate as core::validate_frame, non-throwing.  Restated here
-/// because ae_core links ae_analysis (for the execute-time verify guard),
-/// so the analysis layer may only use the header-inline config fields.
-bool bank_fits(const core::EngineConfig& config, Size frame) {
-  if (frame.width <= 0 || frame.height <= 0) return false;
-  if (frame.width > config.max_line_pixels ||
-      frame.height > config.max_line_pixels)
-    return false;
-  return static_cast<i64>(frame.area()) * 4 <= config.zbt_bank_bytes;
-}
-
 /// First-use / last-use scan.  Only the arity inputs of each call count as
 /// reads — an input_b stamped on a non-inter call is the verifier's problem
 /// (AEV204), not a liveness event, matching how the planner prices inputs.
@@ -44,7 +34,7 @@ std::vector<LiveInterval> compute_intervals(const CallProgram& program,
     li.frame = static_cast<i32>(f);
     li.def = program.frames()[f].producer;
     li.words = frame_words(program, li.frame);
-    li.bank_ok = bank_fits(config, program.frames()[f].size);
+    li.bank_ok = core::frame_fit(config, program.frames()[f].size).ok();
   }
   for (std::size_t i = 0; i < program.calls().size(); ++i) {
     const ProgramCall& pc = program.calls()[i];
@@ -79,19 +69,13 @@ Span live_span(const LiveInterval& li) {
 
 // --- slot-exact replay -----------------------------------------------------
 //
-// The LRU mirror below replicates aeplan's ResidencyMachine (planner.cpp)
-// decision-for-decision: same no-claim rule for invalid references, same
-// slot-claim semantics, same transient-first-then-LRU victim.  Any change
-// there must land here too — tests/alloc_test.cpp pins the equality of the
-// mirror's Transferred words with plan_program's on the 520-program corpus.
+// Both policies replay the order through core::ResidencyTable, the table
+// aeplan and EngineSession drive.  The LRU policy is the table's default
+// victim order, so its Transferred words equal plan_program's by
+// construction (tests/alloc_test.cpp keeps the 520-program equality as a
+// tripwire).  Belady supplies its own victim order and reuse filter.
 
-enum class Policy { LruMirror, Belady };
-
-struct ReplaySlot {
-  i32 frame = kNoFrame;
-  i32 last_use = -1;
-  bool transient = false;  ///< relocated out of the result banks
-};
+enum class Policy { Lru, Belady };
 
 struct Replay {
   std::vector<CallAssignment> assignments;
@@ -134,6 +118,8 @@ class UseTable {
 
 class ReplayMachine {
  public:
+  using Table = core::ResidencyTable<i32, kNoFrame>;
+
   ReplayMachine(Policy policy, const UseTable& uses,
                 const std::vector<LiveInterval>& intervals)
       : policy_(policy), uses_(uses), intervals_(intervals) {}
@@ -143,42 +129,30 @@ class ReplayMachine {
     InputAssignment ia;
     ia.frame = frame;
     ia.words = words;
-    // Invalid references never match a slot — and must not claim one
-    // (mirrors ResidencyMachine exactly).
+    // Invalid references never match a slot — and must not claim one.
     if (frame < 0) return ia;
-    const bool usable = policy_ == Policy::LruMirror || bank_usable(frame);
-    if (usable) {
-      for (std::size_t s = 0; s < slots_.size(); ++s) {
-        if (claimed_[s] || slots_[s].frame != frame) continue;
-        claimed_[s] = true;
-        slots_[s].last_use = pos;
-        slots_[s].transient = false;
-        ia.kind = TransferKind::Reused;
-        ia.slot = static_cast<i32>(s);
-        return ia;
-      }
-    }
-    const bool from_result =
-        usable && result_frame_ == frame && frame != kNoFrame;
-    const std::size_t victim = pick_victim(pos);
-    claimed_[victim] = true;
-    slots_[victim] = ReplaySlot{frame, pos, from_result};
-    ia.kind = from_result ? TransferKind::Relocated : TransferKind::Transferred;
-    ia.slot = static_cast<i32>(victim);
+    // Belady: farthest next use first; a frame whose geometry cannot be
+    // reused is never reused or relocated.
+    const auto farther = [&](const Table::Slot& a, const Table::Slot& b) {
+      return belady_rank(a.key, pos) > belady_rank(b.key, pos);
+    };
+    const Table::Acquired got =
+        policy_ == Policy::Lru
+            ? table_.acquire(frame)
+            : table_.acquire(frame, bank_usable(frame), farther);
+    ia.kind = got.kind;
+    ia.slot = static_cast<i32>(got.slot);
     return ia;
   }
 
-  void finish_call(i32 output_frame) {
-    result_frame_ = output_frame;
-    claimed_.fill(false);
-  }
+  void finish_call(i32 output_frame) { table_.finish_call(output_frame); }
 
   /// Input-slot frames still read after position `pos` — the pin set.
   std::vector<i32> keep_after(i32 pos) const {
     std::vector<i32> out;
-    for (const ReplaySlot& slot : slots_)
-      if (slot.frame != kNoFrame && uses_.next_use(slot.frame, pos) != kNoNextUse)
-        out.push_back(slot.frame);
+    for (const Table::Slot& slot : table_.slots())
+      if (slot.key != kNoFrame && uses_.next_use(slot.key, pos) != kNoNextUse)
+        out.push_back(slot.key);
     std::sort(out.begin(), out.end());
     out.erase(std::unique(out.begin(), out.end()), out.end());
     return out;
@@ -190,62 +164,20 @@ class ReplayMachine {
            intervals_[static_cast<std::size_t>(frame)].bank_ok;
   }
 
-  std::size_t pick_victim(i32 pos) const {
-    if (policy_ == Policy::LruMirror) return pick_victim_lru();
-    return pick_victim_belady(pos);
-  }
-
-  /// Byte-for-byte the ResidencyMachine rule: transient relocations first,
-  /// then least-recently-used, among unclaimed slots.
-  std::size_t pick_victim_lru() const {
-    std::size_t best = claimed_[0] ? 1 : 0;
-    for (std::size_t s = 0; s < slots_.size(); ++s) {
-      if (claimed_[s]) continue;
-      if (claimed_[best]) {
-        best = s;
-        continue;
-      }
-      if (slots_[s].transient != slots_[best].transient) {
-        if (slots_[s].transient) best = s;
-        continue;
-      }
-      if (slots_[s].last_use < slots_[best].last_use) best = s;
-    }
-    return best;
-  }
-
-  /// Farthest-next-use (Belady's offline rule): empty slots first, then
-  /// occupants never read again (or whose geometry cannot be reused), then
-  /// the occupant whose next read is farthest away; ties break to the lower
-  /// slot index so replays are deterministic.
-  std::size_t pick_victim_belady(i32 pos) const {
-    std::size_t best = claimed_[0] ? 1 : 0;
-    i64 best_rank = -1;
-    for (std::size_t s = 0; s < slots_.size(); ++s) {
-      if (claimed_[s]) continue;
-      i64 rank;
-      if (slots_[s].frame == kNoFrame) {
-        rank = std::numeric_limits<i64>::max();
-      } else if (!bank_usable(slots_[s].frame)) {
-        rank = std::numeric_limits<i64>::max() - 1;
-      } else {
-        const i64 nu = uses_.next_use(slots_[s].frame, pos);
-        rank = nu == kNoNextUse ? std::numeric_limits<i64>::max() - 1 : nu;
-      }
-      if (claimed_[best] || rank > best_rank) {
-        best = s;
-        best_rank = rank;
-      }
-    }
-    return best;
+  /// Belady's offline rule: empty slots first, then occupants never read
+  /// again (or whose geometry cannot be reused), then the occupant whose
+  /// next read is farthest away; the table breaks ties to the lower slot.
+  i64 belady_rank(i32 frame, i32 pos) const {
+    if (frame == kNoFrame) return std::numeric_limits<i64>::max();
+    if (!bank_usable(frame)) return std::numeric_limits<i64>::max() - 1;
+    const i64 nu = uses_.next_use(frame, pos);
+    return nu == kNoNextUse ? std::numeric_limits<i64>::max() - 1 : nu;
   }
 
   Policy policy_;
   const UseTable& uses_;
   const std::vector<LiveInterval>& intervals_;
-  std::array<ReplaySlot, 2> slots_{};
-  std::array<bool, 2> claimed_{};
-  i32 result_frame_ = kNoFrame;
+  Table table_;
 };
 
 Replay replay_schedule(const CallProgram& program,
@@ -392,9 +324,9 @@ ResidencyPlan allocate_residency(const CallProgram& program,
     plan.max_live = std::max(plan.max_live, live);
   }
 
-  // Baseline: aeplan's LRU residency on the original order.  The LRU mirror
-  // reproduces it decision-for-decision, so the mirror's assignments are
-  // the guaranteed-sound fallback placement.
+  // Baseline: aeplan's LRU residency on the original order.  The LRU replay
+  // runs the same table, so its assignments are the guaranteed-sound
+  // fallback placement.
   const ProgramPlan base = plan_program(program, options.plan);
   for (const CallPlan& cp : base.calls)
     for (const InputPlan& ip : cp.inputs) {
@@ -405,8 +337,7 @@ ResidencyPlan allocate_residency(const CallProgram& program,
 
   std::vector<i32> identity(program.calls().size());
   std::iota(identity.begin(), identity.end(), 0);
-  Replay lru =
-      replay_schedule(program, identity, Policy::LruMirror, plan.intervals);
+  Replay lru = replay_schedule(program, identity, Policy::Lru, plan.intervals);
 
   Replay best =
       replay_schedule(program, identity, Policy::Belady, plan.intervals);
@@ -424,8 +355,8 @@ ResidencyPlan allocate_residency(const CallProgram& program,
     }
   }
 
-  // Never-regress gate: the Belady result must strictly beat the LRU mirror
-  // or the mirror itself is emitted — what the driver would do anyway, so
+  // Never-regress gate: the Belady result must strictly beat the LRU replay
+  // or the LRU replay itself is emitted — what the driver would do anyway, so
   // the plan can only match or improve the aeplan baseline.
   if (best.transferred_words >= lru.transferred_words) {
     best = std::move(lru);

@@ -1,10 +1,10 @@
 // aealloc — whole-program static residency allocation over CallPrograms.
 //
 // The fifth pass of the analysis family.  aeverify proves a program legal,
-// aeplan prices it under the driver's *incidental* residency (the LRU
-// machine EngineSession happens to implement), aeopt rewrites it, aedom
-// bounds its values — aealloc decides, ahead of submission, which frames
-// should occupy the engine's bank resources at each call.  The same move
+// aeplan prices it under the driver's *incidental* residency (the LRU table
+// EngineSession drives), aeopt rewrites it, aedom bounds its values —
+// aealloc decides, ahead of submission, which frames should occupy the
+// engine's bank resources at each call.  The same move
 // register allocation makes over CPU registers, transposed onto the
 // coprocessor's ZBT geometry: two input bank pairs plus the result pair,
 // with frame liveness intervals in place of virtual-register live ranges.
@@ -13,23 +13,24 @@
 //
 //   1. LIVENESS — per frame, the defining call (kNoFrame for external
 //      inputs), the first and last consuming calls, and whether the frame's
-//      geometry fits a bank pair at all (core::validate_frame).  Two frames
+//      geometry fits a bank pair at all (core::frame_fit).  Two frames
 //      INTERFERE when their live spans overlap — they then compete for the
 //      two reusable input slots, and the interference edge count together
 //      with the maximum number of simultaneously live frames bound how much
 //      residency any schedule can recover.
 //
 //   2. ASSIGNMENT — a slot-exact replay of the call sequence under two
-//      eviction policies.  The LRU MIRROR reproduces aeplan's residency
-//      machine decision-for-decision (same claim rules, same transient-
-//      first-then-LRU victim), so its Transferred word count provably
-//      equals `plan_program`'s — that is the baseline.  The BELADY policy
-//      replaces the victim rule with farthest-next-use (the offline-optimal
-//      eviction rule), which never does worse than LRU on the same order in
-//      practice; because that is a heuristic claim, not a theorem, the
-//      allocator re-prices both and falls back to the LRU mirror whenever
-//      Belady fails to strictly improve — the emitted plan NEVER regresses
-//      the aeplan baseline, by construction rather than by hope.
+//      eviction policies, both through core::ResidencyTable, the table
+//      aeplan and EngineSession drive.  The LRU policy is the table's
+//      default victim order, so its Transferred word count equals
+//      `plan_program`'s by construction — that is the baseline.  The
+//      BELADY policy passes the table a farthest-next-use victim order (the
+//      offline-optimal eviction rule), which never does worse than LRU on
+//      the same order in practice; because that is a heuristic claim, not a
+//      theorem, the allocator re-prices both and falls back to the LRU
+//      replay whenever Belady fails to strictly improve — the emitted plan
+//      NEVER regresses the aeplan baseline, by construction rather than by
+//      hope.
 //
 //   3. SCHEDULE (optional) — a greedy steepest-descent search over
 //      dependence-preserving single-call hoists, objective = Belady
@@ -77,7 +78,7 @@ struct LiveInterval {
   i32 last_use = kNoFrame;   ///< last consuming call; kNoFrame if never read
   u64 words = 0;             ///< PCI words one upload of this frame moves
   bool output = false;       ///< declared program output (host reads it back)
-  bool bank_ok = false;      ///< geometry fits a ZBT bank pair (validate_frame)
+  bool bank_ok = false;      ///< geometry fits a ZBT bank pair (frame_fit)
 };
 
 /// True when the two frames' live spans overlap — both alive across at

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "analysis/diagnostic.hpp"
+#include "core/residency.hpp"
 #include "core/scanspace.hpp"
 #include "core/timing_model.hpp"
 
@@ -49,78 +50,6 @@ std::string envelope_json(const CostEnvelope& e) {
      << ",\"oim_peak_lines\":" << e.oim_peak_lines;
   return os.str();
 }
-
-/// The residency machine mirrors EngineSession's driver model: two input
-/// bank pairs plus the result pair, keyed here by frame id (the static
-/// stand-in for the session's content hash).
-struct ResidencySlot {
-  i32 frame = kNoFrame;
-  i32 last_use = -1;
-  bool transient = false;  ///< relocated out of the result banks
-};
-
-class ResidencyMachine {
- public:
-  /// Classifies one input of call `index`; claims the slot it lands in so
-  /// an inter call's second input cannot share it (the AEV210 invariant).
-  TransferKind place_input(i32 frame, i32 index) {
-    // Invalid references (kNoFrame / out-of-range ids the verifier flags)
-    // never match a slot — and must not claim one.
-    if (frame < 0) return TransferKind::Transferred;
-    for (std::size_t s = 0; s < slots_.size(); ++s) {
-      if (claimed_[s] || slots_[s].frame != frame) continue;
-      claimed_[s] = true;
-      slots_[s].last_use = index;
-      slots_[s].transient = false;
-      return TransferKind::Reused;
-    }
-    const bool from_result = result_frame_ == frame && frame != kNoFrame;
-    const std::size_t victim = pick_victim();
-    claimed_[victim] = true;
-    slots_[victim] = ResidencySlot{frame, index, from_result};
-    return from_result ? TransferKind::Relocated : TransferKind::Transferred;
-  }
-
-  void finish_call(i32 output_frame) {
-    result_frame_ = output_frame;
-    claimed_.fill(false);
-  }
-
-  std::vector<i32> resident() const {
-    std::vector<i32> out;
-    for (const ResidencySlot& slot : slots_)
-      if (slot.frame != kNoFrame) out.push_back(slot.frame);
-    if (result_frame_ != kNoFrame &&
-        std::find(out.begin(), out.end(), result_frame_) == out.end())
-      out.push_back(result_frame_);
-    std::sort(out.begin(), out.end());
-    return out;
-  }
-
- private:
-  std::size_t pick_victim() const {
-    // Transient relocations first, then least-recently-used, among the
-    // slots this call has not already claimed.
-    std::size_t best = claimed_[0] ? 1 : 0;
-    for (std::size_t s = 0; s < slots_.size(); ++s) {
-      if (claimed_[s]) continue;
-      if (claimed_[best]) {
-        best = s;
-        continue;
-      }
-      if (slots_[s].transient != slots_[best].transient) {
-        if (slots_[s].transient) best = s;
-        continue;
-      }
-      if (slots_[s].last_use < slots_[best].last_use) best = s;
-    }
-    return best;
-  }
-
-  std::array<ResidencySlot, 2> slots_{};
-  std::array<bool, 2> claimed_{};
-  i32 result_frame_ = kNoFrame;
-};
 
 }  // namespace
 
@@ -256,7 +185,7 @@ ProgramPlan plan_program(
     const CallProgram& program, const PlanOptions& options,
     const std::vector<std::optional<SegmentVisitInterval>>& visit_hints) {
   ProgramPlan plan;
-  ResidencyMachine residency;
+  core::ResidencyTable<i32, kNoFrame> residency;
 
   for (std::size_t i = 0; i < program.calls().size(); ++i) {
     const ProgramCall& pc = program.calls()[i];
@@ -278,7 +207,9 @@ ProgramPlan plan_program(
       const i32 f = inputs[k];
       InputPlan ip;
       ip.frame = f;
-      ip.kind = residency.place_input(f, cp.call_index);
+      // Invalid references (kNoFrame / out-of-range ids the verifier flags)
+      // never match a slot — and must not claim one.
+      if (f >= 0) ip.kind = residency.acquire(f).kind;
       const Size in_frame =
           program.valid_frame(f)
               ? program.frames()[static_cast<std::size_t>(f)].size
@@ -293,7 +224,13 @@ ProgramPlan plan_program(
       cp.inputs.push_back(ip);
     }
     residency.finish_call(pc.output);
-    cp.resident_after = residency.resident();
+    for (const auto& slot : residency.slots())
+      if (slot.key != kNoFrame) cp.resident_after.push_back(slot.key);
+    if (residency.result() != kNoFrame &&
+        std::find(cp.resident_after.begin(), cp.resident_after.end(),
+                  residency.result()) == cp.resident_after.end())
+      cp.resident_after.push_back(residency.result());
+    std::sort(cp.resident_after.begin(), cp.resident_after.end());
     plan.avoidable_words += cp.avoidable_words;
 
     plan.total.cycles.lower += cp.envelope.cycles.lower;

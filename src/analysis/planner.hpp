@@ -17,10 +17,9 @@
 //     tests/plan_calibration_test.cpp over the 520 known-good fuzz
 //     programs.
 //
-//   * a BANK-RESIDENCY SCHEDULE — interval analysis over the 6-bank ZBT
-//     across the call sequence, mirroring EngineSession's driver model (two
-//     input bank pairs + the result pair, transient-first then LRU
-//     eviction) but keyed by frame id instead of content hash.  Each call
+//   * a BANK-RESIDENCY SCHEDULE — a replay of the call sequence through
+//     core::ResidencyTable (core/residency.hpp), the table EngineSession
+//     drives, keyed by frame id instead of content hash.  Each call
 //     input is classified Transferred / Reused / Relocated, which prices
 //     the avoidable inter-call PCI traffic and feeds the AEW3xx lints
 //     (lints.hpp) and the farm's cost-aware routing (serve/farm.*).
@@ -36,6 +35,7 @@
 #include "addresslib/segment.hpp"
 #include "analysis/program.hpp"
 #include "core/config.hpp"
+#include "core/residency.hpp"
 
 namespace ae::analysis {
 
@@ -75,11 +75,7 @@ struct CostEnvelope {
 };
 
 /// How the residency schedule sources one call input.
-enum class TransferKind : u8 {
-  Transferred,  ///< full PCI upload (not on board)
-  Reused,       ///< already resident in an input bank pair — no PCI traffic
-  Relocated,    ///< resident in the result banks; on-board copy, no PCI
-};
+using core::TransferKind;
 
 std::string to_string(TransferKind k);
 

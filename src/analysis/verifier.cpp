@@ -248,13 +248,14 @@ void check_geometry(const Call& call, Size a, const Size* b, i32 idx,
 
   // AEV108 — the engine configuration bounds: line buffers and ZBT banks.
   const auto check_config_fit = [&](Size s, const char* which) {
-    if (s.width > cfg.max_line_pixels || s.height > cfg.max_line_pixels)
+    const core::FrameFit fit = core::frame_fit(cfg, s);
+    if (!fit.fits_lines)
       r.add(Severity::Error, rules::kFrameExceedsConfig, idx,
             std::string(which) + " frame " + size_str(s) +
                 " exceeds the " + std::to_string(cfg.max_line_pixels) +
                 "-pixel line-buffer sizing",
             "tile the frame into engine-sized sub-frames");
-    if (s.area() * 4 > cfg.zbt_bank_bytes)
+    if (!fit.fits_bank)
       r.add(Severity::Error, rules::kFrameExceedsConfig, idx,
             std::string(which) + " frame " + size_str(s) +
                 " does not fit a ZBT bank pair (" +

@@ -35,17 +35,12 @@ void validate_config(const EngineConfig& config) {
 }
 
 void validate_frame(const EngineConfig& config, Size frame) {
-  AE_EXPECTS(frame.width > 0 && frame.height > 0, "frame must be non-empty");
-  AE_EXPECTS(frame.width <= config.max_line_pixels &&
-                 frame.height <= config.max_line_pixels,
-             "frame exceeds the line buffer sizing");
   // The paper picks 16-line strips partly because 16 divides QCIF and CIF;
   // other sizes work through a short final strip, so they are allowed.
-  // Two input images + one result, 8 bytes per pixel, split over 3 bank
-  // pairs: each bank pair holds one image's words.
-  const i64 words_per_plane = frame.area();  // 32-bit words per bank
-  AE_EXPECTS(words_per_plane * 4 <= config.zbt_bank_bytes,
-             "frame does not fit a ZBT bank pair");
+  const FrameFit fit = frame_fit(config, frame);
+  AE_EXPECTS(fit.non_empty, "frame must be non-empty");
+  AE_EXPECTS(fit.fits_lines, "frame exceeds the line buffer sizing");
+  AE_EXPECTS(fit.fits_bank, "frame does not fit a ZBT bank pair");
 }
 
 }  // namespace ae::core

@@ -86,8 +86,28 @@ struct EngineConfig {
 /// few banks for the bank-pair layout).
 void validate_config(const EngineConfig& config);
 
-/// Throws unless `frame` fits the configuration (line length vs. IIM sizing,
-/// ZBT capacity for two inputs + one result).
+/// How `frame` fits the configuration, one flag per independent limit.
+/// Header-inline so the analysis layer (which ae_core links) can use it.
+struct FrameFit {
+  bool non_empty = false;
+  bool fits_lines = false;  ///< within the IIM/OIM line-buffer sizing
+  bool fits_bank = false;   ///< one image's words fit a ZBT bank pair
+  bool ok() const { return non_empty && fits_lines && fits_bank; }
+};
+
+inline FrameFit frame_fit(const EngineConfig& config, Size frame) {
+  FrameFit fit;
+  fit.non_empty = frame.width > 0 && frame.height > 0;
+  fit.fits_lines = frame.width <= config.max_line_pixels &&
+                   frame.height <= config.max_line_pixels;
+  // Two input images + one result, 8 bytes per pixel, split over 3 bank
+  // pairs: each bank pair holds one image's words, one 32-bit word per
+  // pixel per bank.
+  fit.fits_bank = frame.area() * 4 <= config.zbt_bank_bytes;
+  return fit;
+}
+
+/// Throws unless `frame` fits the configuration (frame_fit().ok()).
 void validate_frame(const EngineConfig& config, Size frame);
 
 }  // namespace ae::core

@@ -131,7 +131,9 @@ class ResilientSession : public alib::Backend {
   void replace_board(const FaultPlan& plan);
 
   /// Residency of the wrapped session (forwarded; see EngineSession).
-  ResidencySnapshot residency() const { return session_.residency(); }
+  const ResidencyTable<u64>& residency() const {
+    return session_.residency();
+  }
   void restore_residency(const ResidencySnapshot& snapshot) {
     session_.restore_residency(snapshot);
   }

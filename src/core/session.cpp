@@ -1,6 +1,7 @@
 #include "core/session.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "addresslib/kernels/kernel_backend.hpp"
 #include "analysis/verifier.hpp"
@@ -65,8 +66,7 @@ std::string EngineSession::name() const {
 }
 
 void EngineSession::invalidate() {
-  input_slot_ = {};
-  result_slot_ = 0;
+  residency_.restore({});
   pinned_.clear();
 }
 
@@ -79,28 +79,6 @@ void EngineSession::pin_frames(const std::vector<u64>& hashes) {
 bool EngineSession::is_pinned(u64 hash) const {
   return hash != 0 &&
          std::find(pinned_.begin(), pinned_.end(), hash) != pinned_.end();
-}
-
-ResidencySnapshot EngineSession::residency() const {
-  ResidencySnapshot snapshot;
-  for (std::size_t s = 0; s < input_slot_.size(); ++s) {
-    snapshot.input_slots[s].hash = input_slot_[s].hash;
-    snapshot.input_slots[s].last_use = input_slot_[s].last_use;
-    snapshot.input_slots[s].transient = input_slot_[s].transient;
-  }
-  snapshot.result_hash = result_slot_;
-  snapshot.use_clock = use_clock_;
-  return snapshot;
-}
-
-void EngineSession::restore_residency(const ResidencySnapshot& snapshot) {
-  for (std::size_t s = 0; s < input_slot_.size(); ++s) {
-    input_slot_[s].hash = snapshot.input_slots[s].hash;
-    input_slot_[s].last_use = snapshot.input_slots[s].last_use;
-    input_slot_[s].transient = snapshot.input_slots[s].transient;
-  }
-  result_slot_ = snapshot.result_hash;
-  use_clock_ = std::max(use_clock_, snapshot.use_clock);
 }
 
 void EngineSession::set_fault(FaultInjector* fault) {
@@ -137,44 +115,6 @@ alib::CallResult EngineSession::execute_simulated(const alib::Call& call,
   return result;
 }
 
-std::size_t EngineSession::victim_slot(
-    const std::array<bool, 2>& claimed) const {
-  // Transient frames (relocated results, typically consumed once) go
-  // first; ties and the rest by least recent use.  Slots already feeding
-  // the current call are never victims; pinned frames are spared on the
-  // first pass, but pins are advisory — when every unclaimed slot is
-  // pinned the second pass ignores them so a call always finds a victim.
-  const auto scan = [&](bool respect_pins) {
-    std::size_t best = input_slot_.size();
-    for (std::size_t s = 0; s < input_slot_.size(); ++s) {
-      if (claimed[s]) continue;
-      if (respect_pins && is_pinned(input_slot_[s].hash)) continue;
-      if (best == input_slot_.size()) {
-        best = s;
-        continue;
-      }
-      const InputSlot& cand = input_slot_[s];
-      const InputSlot& cur = input_slot_[best];
-      if (cand.transient != cur.transient) {
-        if (cand.transient) best = s;
-      } else if (cand.last_use < cur.last_use) {
-        best = s;
-      }
-    }
-    return best;
-  };
-  std::size_t best = scan(/*respect_pins=*/true);
-  if (best == input_slot_.size()) best = scan(/*respect_pins=*/false);
-  AE_ASSERT(best < input_slot_.size(),
-            "no free input pair: both slots claimed by the current call");
-  return best;
-}
-
-void EngineSession::touch(std::size_t slot, bool transient) {
-  input_slot_[slot].last_use = ++use_clock_;
-  input_slot_[slot].transient = transient;
-}
-
 u64 frame_content_hash(const img::Image& image) {
   // FNV-1a over the pixel words plus the dimensions.
   u64 h = 0xCBF29CE484222325ull;
@@ -189,26 +129,6 @@ u64 frame_content_hash(const img::Image& image) {
     mix(p.upper_word());
   }
   return h == 0 ? 1 : h;  // 0 means "empty slot"
-}
-
-EngineSession::Residency EngineSession::acquire_input(
-    u64 hash, std::array<bool, 2>& claimed) {
-  if (!options_.reuse_resident_frames) return Residency::NotResident;
-  for (std::size_t s = 0; s < input_slot_.size(); ++s)
-    if (!claimed[s] && input_slot_[s].hash == hash) {
-      claimed[s] = true;
-      touch(s, false);  // proven reusable: no longer transient
-      return Residency::InInputPair;
-    }
-  if (result_slot_ == hash) {
-    ++stats_.board_copies;
-    const std::size_t slot = victim_slot(claimed);
-    input_slot_[slot].hash = hash;
-    claimed[slot] = true;
-    touch(slot, true);
-    return Residency::RelocatedFromResult;
-  }
-  return Residency::NotResident;
 }
 
 alib::CallResult EngineSession::execute(const alib::Call& call,
@@ -243,38 +163,34 @@ alib::CallResult EngineSession::execute(const alib::Call& call,
   u64 cycles = base.cycles;
   const auto pixels = static_cast<u64>(a.pixel_count());
 
-  // Input transfers skipped for resident frames.  `claimed` pins the slots
-  // feeding this call so an inter call with identical inputs cannot count
-  // one on-board copy twice (the engine reads both bank pairs in parallel).
+  // Input transfers skipped for resident frames.  The table's claim set
+  // keeps an inter call with identical inputs from counting one on-board
+  // copy twice (the engine reads both bank pairs in parallel).
   const u64 per_frame_in =
       (timing.input_busy_cycles + timing.input_overhead_cycles) /
       static_cast<u64>(images);
   u64 input_cycles = timing.input_busy_cycles + timing.input_overhead_cycles;
   const std::array<u64, 2> wanted{keys.a, keys.b};
-  std::array<bool, 2> claimed{false, false};
+  const auto order = ResidencyTable<u64>::sparing(
+      [this](u64 hash) { return is_pinned(hash); });
   for (int f = 0; f < images; ++f) {
-    switch (acquire_input(wanted[static_cast<std::size_t>(f)], claimed)) {
-      case Residency::InInputPair:
-        ++stats_.inputs_reused;
-        cycles -= std::min(cycles, per_frame_in);
-        input_cycles -= std::min(input_cycles, per_frame_in);
-        break;
-      case Residency::RelocatedFromResult:
-        ++stats_.inputs_reused;
-        cycles -= std::min(cycles, per_frame_in);
-        input_cycles -= std::min(input_cycles, per_frame_in);
-        // Bank-to-bank relocation: two port cycles per pixel.
-        cycles += pixels * 2;
-        input_cycles += pixels * 2;
-        break;
-      case Residency::NotResident: {
-        ++stats_.inputs_transferred;
-        const std::size_t slot = victim_slot(claimed);
-        input_slot_[slot].hash = wanted[static_cast<std::size_t>(f)];
-        claimed[slot] = true;
-        touch(slot, false);
-        break;
-      }
+    const TransferKind kind =
+        residency_
+            .acquire(wanted[static_cast<std::size_t>(f)],
+                     options_.reuse_resident_frames, order)
+            .kind;
+    if (kind == TransferKind::Transferred) {
+      ++stats_.inputs_transferred;
+      continue;
+    }
+    ++stats_.inputs_reused;
+    cycles -= std::min(cycles, per_frame_in);
+    input_cycles -= std::min(input_cycles, per_frame_in);
+    if (kind == TransferKind::Relocated) {
+      // Bank-to-bank relocation: two port cycles per pixel.
+      ++stats_.board_copies;
+      cycles += pixels * 2;
+      input_cycles += pixels * 2;
     }
   }
 
@@ -286,8 +202,8 @@ alib::CallResult EngineSession::execute(const alib::Call& call,
   } else {
     ++stats_.outputs_read_back;
   }
-  result_slot_ = frame_content_hash(result.output);
-  last_output_key_ = result_slot_;
+  last_output_key_ = frame_content_hash(result.output);
+  residency_.finish_call(last_output_key_);
 
   // Setup overhead is driver time spent before/while streaming strips, so
   // it belongs to the input phase of the pipelining view.

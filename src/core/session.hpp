@@ -11,7 +11,9 @@
 //   * frame residency — the ZBT keeps the last frames; an input whose
 //     content is already on board skips its transfer (an on-board
 //     bank-to-bank copy at one pixel per two cycles when it sits in the
-//     result banks),
+//     result banks).  The board state is a core::ResidencyTable keyed by
+//     content hash, the same table aeplan and aealloc key by frame id, so for
+//     frames of distinct content the session charges what they predict,
 //   * side-only readback elision — calls whose value is entirely in the
 //     side port (Sad, Histogram, GmeAccum, GmeAccumAffine) skip the result
 //     readback.
@@ -25,12 +27,12 @@
 // workload.
 #pragma once
 
-#include <array>
 #include <vector>
 
 #include "addresslib/call.hpp"
 #include "core/analytic.hpp"
 #include "core/config.hpp"
+#include "core/residency.hpp"
 
 namespace ae::core {
 
@@ -77,27 +79,6 @@ struct CallPhases {
   u64 input_cycles = 0;
   u64 post_input_cycles = 0;
   u64 total_cycles = 0;
-};
-
-/// Serializable view of the residency tables — what a shard snapshot needs
-/// to rebuild the timing-model state of a board (serve/snapshot.hpp).
-/// Functional results never depend on residency, so restoring this state is
-/// bit-exactness-safe by construction; it only changes what the model
-/// charges for future transfers.
-struct ResidencySnapshot {
-  struct Slot {
-    u64 hash = 0;  ///< frame content hash; 0 means "empty slot"
-    u64 last_use = 0;
-    bool transient = false;
-  };
-  std::array<Slot, 2> input_slots{};
-  u64 result_hash = 0;
-  u64 use_clock = 0;
-
-  bool empty() const {
-    return input_slots[0].hash == 0 && input_slots[1].hash == 0 &&
-           result_hash == 0;
-  }
 };
 
 struct SessionStats {
@@ -166,12 +147,13 @@ class EngineSession : public alib::Backend {
   /// per call and clears with an empty vector; zero hashes are ignored.
   void pin_frames(const std::vector<u64>& hashes);
 
-  /// Residency tables as a serializable value (shard checkpointing).
-  ResidencySnapshot residency() const;
-  /// Installs previously exported residency, replacing the current tables.
-  /// The use clock never rewinds — LRU ordering of frames the session
-  /// touched after the snapshot stays ahead of the restored entries.
-  void restore_residency(const ResidencySnapshot& snapshot);
+  /// The board's residency table (`.snapshot()` for shard checkpointing).
+  const ResidencyTable<u64>& residency() const { return residency_; }
+  /// Installs previously exported residency, replacing the current table
+  /// (ResidencyTable::restore: the use clock never rewinds).
+  void restore_residency(const ResidencySnapshot& snapshot) {
+    residency_.restore(snapshot);
+  }
 
   /// Attaches a transport adversary: subsequent calls run through the full
   /// cycle simulator with the injector in the loop and may throw
@@ -188,20 +170,7 @@ class EngineSession : public alib::Backend {
   alib::CallResult execute_simulated(const alib::Call& call,
                                      const img::Image& a,
                                      const img::Image* b);
-  enum class Residency { NotResident, InInputPair, RelocatedFromResult };
-  /// Looks `hash` up on board; relocation moves it from the result banks
-  /// into an input pair (costed by the caller).  `claimed` marks slots
-  /// already feeding this call — an inter call whose two inputs share
-  /// content still needs the frame in *both* bank pairs, so one resident
-  /// copy may only satisfy one of them.
-  Residency acquire_input(u64 hash, std::array<bool, 2>& claimed);
-
-  /// Picks the input pair to overwrite among unclaimed slots: transient
-  /// (relocated result) frames first, then least recently used.  Pinned
-  /// frames are spared unless every unclaimed slot is pinned.
-  std::size_t victim_slot(const std::array<bool, 2>& claimed) const;
   bool is_pinned(u64 hash) const;
-  void touch(std::size_t slot, bool transient);
 
   // Threading contract: an EngineSession (and the SessionStats it
   // accumulates) is single-owner — exactly one thread may call execute().
@@ -212,15 +181,8 @@ class EngineSession : public alib::Backend {
   SessionStats stats_;
   CallPhases last_phases_;
   u64 last_output_key_ = 0;
-  // Content hashes of the frames in the input pairs and the result banks.
-  struct InputSlot {
-    u64 hash = 0;
-    u64 last_use = 0;
-    bool transient = false;  ///< relocated result, unlikely to be reused
-  };
-  std::array<InputSlot, 2> input_slot_{};
-  u64 result_slot_ = 0;
-  u64 use_clock_ = 0;
+  // Keyed by frame content hash.
+  ResidencyTable<u64> residency_;
   std::vector<u64> pinned_;
   FaultInjector* fault_ = nullptr;
   EngineTrace* trace_ = nullptr;

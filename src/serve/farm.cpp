@@ -704,29 +704,23 @@ void EngineFarm::record_elastic_event(core::TraceEvent event, i64 arg) {
 
 void EngineFarm::update_resident_frames(Shard& shard, const Request& request,
                                         const img::Image& output) {
-  const core::ResidencySnapshot residency = shard.session.residency();
-  const u64 live[3] = {residency.input_slots[0].hash,
-                       residency.input_slots[1].hash, residency.result_hash};
-  const auto is_live = [&](u64 hash) {
-    return hash != 0 &&
-           (hash == live[0] || hash == live[1] || hash == live[2]);
-  };
+  const core::ResidencyTable<u64>& board = shard.session.residency();
   // Drop content of frames the board no longer holds.
   for (auto it = shard.resident.begin(); it != shard.resident.end();)
-    it = is_live(it->first) ? std::next(it) : shard.resident.erase(it);
+    it = board.holds(it->first) ? std::next(it) : shard.resident.erase(it);
   // Copy in frames that just became resident; the call's own images are
   // the only candidates.  try_emplace: no copy when already tracked.
-  if (is_live(request.keys.a) && request.a != nullptr)
+  if (board.holds(request.keys.a) && request.a != nullptr)
     shard.resident.try_emplace(request.keys.a, *request.a);
-  if (is_live(request.keys.b) && request.b != nullptr)
+  if (board.holds(request.keys.b) && request.b != nullptr)
     shard.resident.try_emplace(request.keys.b, *request.b);
-  if (is_live(residency.result_hash))
-    shard.resident.try_emplace(residency.result_hash, output);
+  if (board.holds(board.result()))
+    shard.resident.try_emplace(board.result(), output);
 }
 
 u64 EngineFarm::install_frames(Shard& shard,
                                const std::vector<ResidentFrame>& frames,
-                               core::ResidencySnapshot& residency) {
+                               core::ResidencyTable<u64>& residency) {
   core::FaultInjector& injector = shard.session.injector();
   const int max_attempts =
       1 + shard.session.options().transport.max_strip_retries;
@@ -761,9 +755,7 @@ u64 EngineFarm::install_frames(Shard& shard,
       // Retry budget exhausted: the board never received this frame clean.
       // It stays cold — prune it from the residency tables so the timing
       // model re-streams it on first use instead of trusting rotten banks.
-      for (auto& slot : residency.input_slots)
-        if (slot.hash == frame.hash) slot = {};
-      if (residency.result_hash == frame.hash) residency.result_hash = 0;
+      residency.evict(frame.hash);
     }
   }
   return words;
@@ -771,21 +763,15 @@ u64 EngineFarm::install_frames(Shard& shard,
 
 void EngineFarm::install_snapshot(Shard& shard, const ShardSnapshot& snapshot,
                                   bool with_breaker) {
-  core::ResidencySnapshot residency = snapshot.residency;
+  core::ResidencyTable<u64> residency(snapshot.residency);
   shard.resident.clear();
   const u64 words = install_frames(shard, snapshot.frames, residency);
-  // Keep the content map consistent with what the residency tables name.
-  const auto named = [&](u64 hash) {
-    if (hash == 0) return false;
-    if (residency.result_hash == hash) return true;
-    for (const auto& slot : residency.input_slots)
-      if (slot.hash == hash) return true;
-    return false;
-  };
+  // Keep the content map consistent with what the residency table names.
   for (auto it = shard.resident.begin(); it != shard.resident.end();)
-    it = named(it->first) ? std::next(it) : shard.resident.erase(it);
+    it = residency.holds(it->first) ? std::next(it)
+                                    : shard.resident.erase(it);
   if (with_breaker) shard.session.restore_breaker(snapshot.breaker);
-  shard.session.restore_residency(residency);
+  shard.session.restore_residency(residency.snapshot());
   const u64 cost = bulk_restore_cycles(words);
   // A restore never rewinds a live clock — service between snapshot and
   // restore stays counted — and the bulk burst is priced on top.  Every
@@ -819,19 +805,16 @@ std::vector<u8> EngineFarm::snapshot_shard(int shard_index) {
     snapshot.shard_index = shard_index;
     snapshot.clock_cycles = shard.clock_cycles;
     snapshot.breaker = shard.session.breaker_snapshot();
-    snapshot.residency = shard.session.residency();
+    snapshot.residency = shard.session.residency().snapshot();
     // Checkpoints carry the input-slot working set only.  The result bank
     // is transient — the next call overwrites it, and relocation rebuilds
     // it for free — so carrying its frame would inflate every restore by a
     // full frame of PCI words for state the board regenerates anyway.
     snapshot.residency.result_hash = 0;
+    const core::ResidencyTable<u64> carried(snapshot.residency);
     snapshot.frames.reserve(shard.resident.size());
-    for (const auto& [hash, content] : shard.resident) {
-      const bool in_input_slot =
-          snapshot.residency.input_slots[0].hash == hash ||
-          snapshot.residency.input_slots[1].hash == hash;
-      if (in_input_slot) snapshot.frames.push_back({hash, content});
-    }
+    for (const auto& [hash, content] : shard.resident)
+      if (carried.holds(hash)) snapshot.frames.push_back({hash, content});
     snapshot.queued.reserve(backlog.size());
     for (const Request& r : backlog) snapshot.queued.push_back(r.call);
     blob = serialize_snapshot(snapshot, &shard.session.injector());
@@ -977,31 +960,17 @@ int EngineFarm::install_migrated(Shard& to, int to_index,
   {
     sync::MutexLock lock(to.mu);
     wait_shard_idle(to);
-    core::ResidencySnapshot residency = to.session.residency();
-    const auto holds = [&](u64 hash) {
-      if (residency.result_hash == hash) return true;
-      for (const auto& slot : residency.input_slots)
-        if (slot.hash == hash) return true;
-      return false;
-    };
+    core::ResidencyTable<u64> residency = to.session.residency();
     for (ResidentFrame& frame : frames) {
-      if (frame.hash == 0 || holds(frame.hash)) continue;
-      core::ResidencySnapshot::Slot* free = nullptr;
-      for (auto& slot : residency.input_slots)
-        if (slot.hash == 0) {
-          free = &slot;
-          break;
-        }
-      if (free == nullptr) break;  // both input banks occupied: board full
-      free->hash = frame.hash;
-      free->last_use = ++residency.use_clock;
-      free->transient = false;
+      if (frame.hash == 0 || residency.holds(frame.hash)) continue;
+      // Both input banks occupied: the board is full.
+      if (!residency.install_free(frame.hash)) break;
       words += 2 * static_cast<u64>(frame.content.pixel_count());
       to.resident.insert_or_assign(frame.hash, std::move(frame.content));
       affinity_[frame.hash] = to_index;  // scheduler is parked: safe
       ++moved;
     }
-    to.session.restore_residency(residency);
+    to.session.restore_residency(residency.snapshot());
     const u64 cost = bulk_restore_cycles(words);
     to.clock_cycles += cost;
     to.elastic_cycles += cost;
@@ -1108,12 +1077,9 @@ int EngineFarm::rebalance() {
       one.push_back({it->first, std::move(it->second)});
       source.resident.erase(it);
       // Evict from the source board's residency tables too.
-      core::ResidencySnapshot residency = source.session.residency();
-      for (auto& slot : residency.input_slots)
-        if (slot.hash == one.front().hash) slot = {};
-      if (residency.result_hash == one.front().hash)
-        residency.result_hash = 0;
-      source.session.restore_residency(residency);
+      core::ResidencyTable<u64> residency = source.session.residency();
+      residency.evict(one.front().hash);
+      source.session.restore_residency(residency.snapshot());
       source.prev_on_engine = false;
     }
     const int moved = install_migrated(

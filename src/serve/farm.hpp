@@ -443,7 +443,7 @@ class EngineFarm : public alib::Backend {
   /// during a restore.
   u64 bulk_restore_cycles(u64 words) const;
   /// Refreshes the shard's host-side resident-frame copies after a call,
-  /// from the session's residency tables and the call's own images.
+  /// from the session's residency table and the call's own images.
   void update_resident_frames(Shard& shard, const Request& request,
                               const img::Image& output) AE_REQUIRES(shard.mu);
   /// Streams snapshot frames onto the shard's board through its injector,
@@ -451,7 +451,8 @@ class EngineFarm : public alib::Backend {
   /// a frame that never streams clean is pruned from `residency` and stays
   /// cold.  Returns PCI words streamed (including retries).
   u64 install_frames(Shard& shard, const std::vector<ResidentFrame>& frames,
-                     core::ResidencySnapshot& residency) AE_REQUIRES(shard.mu);
+                     core::ResidencyTable<u64>& residency)
+      AE_REQUIRES(shard.mu);
   /// Installs a parsed snapshot into a quiesced shard: frames, residency,
   /// optionally the breaker machine; charges the bulk-DMA burst to the
   /// shard clock (which never rewinds below the live clock).

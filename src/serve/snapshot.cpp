@@ -359,6 +359,8 @@ ShardSnapshot parse_snapshot(const std::vector<u8>& blob) {
   }
   snapshot.residency.result_hash = r.u64v();
   snapshot.residency.use_clock = r.u64v();
+  if (!snapshot.residency.consistent())
+    fail("residency use clock out of range");
 
   const u32 frames = r.count(20);
   snapshot.frames.reserve(frames);

@@ -147,6 +147,23 @@ TEST(SnapshotFormatTest, VersionMismatchIsItsOwnError) {
   }
 }
 
+// The residency fields are restored as the board's LRU state, so a clock
+// about to wrap (the next stamps would restart at 0 and invert LRU order for
+// the shard's life) or a slot used after the clock is rejected even when the
+// checksum is valid.
+TEST(SnapshotFormatTest, InconsistentResidencyClockIsCorruption) {
+  Rng rng(0x51AEu);
+  ShardSnapshot wrapping = sample_snapshot(rng);
+  wrapping.residency.use_clock = ~u64{0};
+  EXPECT_THROW(serve::parse_snapshot(serve::serialize_snapshot(wrapping)),
+               serve::SnapshotCorruption);
+  ShardSnapshot future_slot = sample_snapshot(rng);
+  future_slot.residency.input_slots[1].last_use =
+      future_slot.residency.use_clock + 1;
+  EXPECT_THROW(serve::parse_snapshot(serve::serialize_snapshot(future_slot)),
+               serve::SnapshotCorruption);
+}
+
 TEST(SnapshotFormatTest, InjectorRotIsCountedAndDetected) {
   Rng rng(0x51ADu);
   core::FaultPlan plan;
