@@ -1,6 +1,7 @@
 // Google-benchmark microbenchmarks of the engine simulator itself: cost of
 // cycle-accurate vs. analytic execution (the reason the analytic mode
-// exists for the call-heavy Table 3 experiment).
+// exists for the call-heavy Table 3 experiment), and the frame content hash
+// every served call pays to key its inputs and result.
 #include <benchmark/benchmark.h>
 
 #include "core/core.hpp"
@@ -54,6 +55,16 @@ void BM_CycleAccurateInter(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * frame().pixel_count());
 }
 BENCHMARK(BM_CycleAccurateInter);
+
+void BM_FrameContentHash(benchmark::State& state) {
+  static const img::Image cif = img::make_test_frame(Size{352, 288}, 1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::frame_content_hash(cif));
+  }
+  state.SetBytesProcessed(state.iterations() * cif.pixel_count() *
+                          static_cast<i64>(sizeof(img::Pixel)));
+}
+BENCHMARK(BM_FrameContentHash);
 
 }  // namespace
 

@@ -8,15 +8,25 @@
 // kernels (inter_kernels.cpp) want wrapping/saturating add/sub, a low
 // multiply and a runtime right shift.
 //
+// A second type, U64x2, carries the handful of 64-bit lane ops the frame
+// content hash (frame_hash.hpp) needs: add, xor, and, shifts and the
+// 32x32->64 lane multiply (_mm_mul_epu32 / vmull_u32).
+//
 // Defining AE_SIMD_FORCE_SCALAR selects the scalar struct regardless of the
 // host ISA — the boundary-value suite builds the same tests twice and
 // cross-checks the vector and scalar lowerings at the domain extremes.
+// Everything here sits in an inline namespace named after the lowering, so
+// a forced-scalar translation unit linked against vector-built code never
+// shares a symbol (or a struct layout) with it.
 //
 // SSE2 has no unsigned 16-bit min/max (those arrive with SSE4.1), but
 // saturating subtraction gives both exactly:
 //   subs(a,b) = a - min(a,b)   =>   min = a - subs(a,b),  max = b + subs(a,b)
 // with no overflow in either correction (the sum/difference stays in u16).
 #pragma once
+
+#include <bit>
+#include <cstring>
 
 #include "common/types.hpp"
 
@@ -31,7 +41,16 @@
 #include <arm_neon.h>
 #endif
 
+#if defined(AE_SIMD_SSE2)
+#define AE_SIMD_LOWERING sse2
+#elif defined(AE_SIMD_NEON)
+#define AE_SIMD_LOWERING neon
+#else
+#define AE_SIMD_LOWERING scalar
+#endif
+
 namespace ae::alib::kern::simd {
+inline namespace AE_SIMD_LOWERING {
 
 inline constexpr i32 kU16Lanes = 8;
 
@@ -68,6 +87,35 @@ inline U16x8 shr(U16x8 a, i32 count) {
   return {_mm_srl_epi16(a.v, _mm_cvtsi32_si128(count))};
 }
 
+struct U64x2 {
+  __m128i v;
+};
+
+/// Two little-endian u64 lanes from 16 bytes at any alignment.
+inline U64x2 load64(const void* p) {
+  return {_mm_loadu_si128(static_cast<const __m128i*>(p))};
+}
+inline void store(u64* p, U64x2 a) {
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(p), a.v);
+}
+inline U64x2 make64(u64 lane0, u64 lane1) {
+  return {_mm_set_epi64x(static_cast<long long>(lane1),
+                         static_cast<long long>(lane0))};
+}
+inline U64x2 add(U64x2 a, U64x2 b) { return {_mm_add_epi64(a.v, b.v)}; }
+inline U64x2 bit_xor(U64x2 a, U64x2 b) { return {_mm_xor_si128(a.v, b.v)}; }
+inline U64x2 bit_and(U64x2 a, U64x2 b) { return {_mm_and_si128(a.v, b.v)}; }
+template <int N>
+inline U64x2 shr64(U64x2 a) {
+  return {_mm_srli_epi64(a.v, N)};
+}
+template <int N>
+inline U64x2 shl64(U64x2 a) {
+  return {_mm_slli_epi64(a.v, N)};
+}
+/// Full 64-bit product of the low 32 bits of each lane.
+inline U64x2 mul32(U64x2 a, U64x2 b) { return {_mm_mul_epu32(a.v, b.v)}; }
+
 #elif defined(AE_SIMD_NEON)
 
 struct U16x8 {
@@ -85,6 +133,34 @@ inline U16x8 subs(U16x8 a, U16x8 b) { return {vqsubq_u16(a.v, b.v)}; }
 inline U16x8 mullo(U16x8 a, U16x8 b) { return {vmulq_u16(a.v, b.v)}; }
 inline U16x8 shr(U16x8 a, i32 count) {
   return {vshlq_u16(a.v, vdupq_n_s16(static_cast<i16>(-count)))};
+}
+
+struct U64x2 {
+  uint64x2_t v;
+};
+
+inline U64x2 load64(const void* p) {
+  static_assert(std::endian::native == std::endian::little,
+                "load64 reads little-endian lanes");
+  return {vreinterpretq_u64_u8(vld1q_u8(static_cast<const u8*>(p)))};
+}
+inline void store(u64* p, U64x2 a) { vst1q_u64(p, a.v); }
+inline U64x2 make64(u64 lane0, u64 lane1) {
+  return {vcombine_u64(vcreate_u64(lane0), vcreate_u64(lane1))};
+}
+inline U64x2 add(U64x2 a, U64x2 b) { return {vaddq_u64(a.v, b.v)}; }
+inline U64x2 bit_xor(U64x2 a, U64x2 b) { return {veorq_u64(a.v, b.v)}; }
+inline U64x2 bit_and(U64x2 a, U64x2 b) { return {vandq_u64(a.v, b.v)}; }
+template <int N>
+inline U64x2 shr64(U64x2 a) {
+  return {vshrq_n_u64(a.v, N)};
+}
+template <int N>
+inline U64x2 shl64(U64x2 a) {
+  return {vshlq_n_u64(a.v, N)};
+}
+inline U64x2 mul32(U64x2 a, U64x2 b) {
+  return {vmull_u32(vmovn_u64(a.v), vmovn_u64(b.v))};
 }
 
 #else
@@ -152,6 +228,51 @@ inline U16x8 shr(U16x8 a, i32 count) {
   return r;
 }
 
+struct U64x2 {
+  u64 v[2];
+};
+
+/// Little-endian lanes on any host (byte-assembled on a big-endian one).
+inline U64x2 load64(const void* p) {
+  U64x2 r{};
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(r.v, p, sizeof r.v);
+  } else {
+    const auto* bytes = static_cast<const u8*>(p);
+    for (i32 i = 0; i < 16; ++i)
+      r.v[i / 8] |= static_cast<u64>(bytes[i]) << (8 * (i % 8));
+  }
+  return r;
+}
+inline void store(u64* p, U64x2 a) {
+  p[0] = a.v[0];
+  p[1] = a.v[1];
+}
+inline U64x2 make64(u64 lane0, u64 lane1) { return {{lane0, lane1}}; }
+inline U64x2 add(U64x2 a, U64x2 b) {
+  return {{a.v[0] + b.v[0], a.v[1] + b.v[1]}};
+}
+inline U64x2 bit_xor(U64x2 a, U64x2 b) {
+  return {{a.v[0] ^ b.v[0], a.v[1] ^ b.v[1]}};
+}
+inline U64x2 bit_and(U64x2 a, U64x2 b) {
+  return {{a.v[0] & b.v[0], a.v[1] & b.v[1]}};
+}
+template <int N>
+inline U64x2 shr64(U64x2 a) {
+  return {{a.v[0] >> N, a.v[1] >> N}};
+}
+template <int N>
+inline U64x2 shl64(U64x2 a) {
+  return {{a.v[0] << N, a.v[1] << N}};
+}
+inline U64x2 mul32(U64x2 a, U64x2 b) {
+  constexpr u64 kLow = 0xFFFFFFFFull;
+  return {{(a.v[0] & kLow) * (b.v[0] & kLow),
+           (a.v[1] & kLow) * (b.v[1] & kLow)}};
+}
+
 #endif
 
+}  // namespace AE_SIMD_LOWERING
 }  // namespace ae::alib::kern::simd

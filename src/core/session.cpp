@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 
+#include "addresslib/kernels/frame_hash.hpp"
 #include "addresslib/kernels/kernel_backend.hpp"
 #include "analysis/verifier.hpp"
 #include "core/engine_sim.hpp"
@@ -116,19 +117,7 @@ alib::CallResult EngineSession::execute_simulated(const alib::Call& call,
 }
 
 u64 frame_content_hash(const img::Image& image) {
-  // FNV-1a over the pixel words plus the dimensions.
-  u64 h = 0xCBF29CE484222325ull;
-  auto mix = [&h](u64 v) {
-    h ^= v;
-    h *= 0x100000001B3ull;
-  };
-  mix(static_cast<u64>(image.width()));
-  mix(static_cast<u64>(image.height()));
-  for (const img::Pixel& p : image.pixels()) {
-    mix(p.lower_word());
-    mix(p.upper_word());
-  }
-  return h == 0 ? 1 : h;  // 0 means "empty slot"
+  return alib::kern::frame_hash(image);
 }
 
 alib::CallResult EngineSession::execute(const alib::Call& call,

@@ -48,8 +48,10 @@ struct SessionOptions {
   bool validate_before_execute = false;
 };
 
-/// Content hash of a frame as the residency tables key it (FNV-1a over the
-/// pixel words plus the dimensions; never 0, which means "empty slot").
+/// Content hash of a frame as the residency tables key it: a vectorized,
+/// position-keyed hash of the pixel words (padding byte excluded) plus the
+/// dimensions, defined once in addresslib/kernels/frame_hash.hpp.  Never 0,
+/// which means "empty slot".  One pass over the frame, single-threaded.
 /// Exposed so schedulers above the session (serve::EngineFarm) can route by
 /// residency affinity without re-deriving the hashing scheme.
 u64 frame_content_hash(const img::Image& image);

@@ -167,15 +167,21 @@ analysis::ProgramRunResult EngineFarm::run_planned(
   // call pins its keep set.  Segment records therefore concatenate in
   // SCHEDULE order; consumers key them by id, never by arrival position.
   const auto& frames = program.frames();
-  std::vector<img::Image> values(frames.size());
-  std::vector<bool> have(frames.size(), false);
+  // A frame's value is either a caller input, referred to and never copied,
+  // or a result this run owns in `results`.  nullptr: not available yet.
+  std::vector<const img::Image*> values(frames.size(), nullptr);
+  std::vector<img::Image> results(frames.size());
   // One content key per frame value: inputs are hashed when bound, results
   // take the key their call's session computed.  A result the session did
   // not hash (simulated or fallback call) is hashed on first use.
   std::vector<u64> keys(frames.size(), 0);
+  const auto available = [&](i32 f) {
+    return program.valid_frame(f) &&
+           values[static_cast<std::size_t>(f)] != nullptr;
+  };
   const auto key = [&](i32 f) {
     const auto i = static_cast<std::size_t>(f);
-    if (keys[i] == 0) keys[i] = core::frame_content_hash(values[i]);
+    if (keys[i] == 0) keys[i] = core::frame_content_hash(*values[i]);
     return keys[i];
   };
   std::size_t next_input = 0;
@@ -186,9 +192,8 @@ analysis::ProgramRunResult EngineFarm::run_planned(
     AE_EXPECTS(inputs[next_input].size() == frames[f].size,
                "execute_program: input image size mismatch for frame '" +
                    program.frame_name(static_cast<i32>(f)) + "'");
-    values[f] = inputs[next_input++];
-    have[f] = true;
-    keys[f] = core::frame_content_hash(values[f]);
+    values[f] = &inputs[next_input++];
+    keys[f] = core::frame_content_hash(*values[f]);
   }
   AE_EXPECTS(next_input == inputs.size(),
              "execute_program: more input images than external frames");
@@ -198,39 +203,45 @@ analysis::ProgramRunResult EngineFarm::run_planned(
   for (std::size_t p = 0; p < plan.schedule.size(); ++p) {
     const analysis::ProgramCall& pc =
         program.calls()[static_cast<std::size_t>(plan.schedule[p])];
-    AE_EXPECTS(program.valid_frame(pc.input_a) &&
-                   have[static_cast<std::size_t>(pc.input_a)],
+    AE_EXPECTS(available(pc.input_a),
                "execute_program: call reads an unavailable frame");
     const img::Image* b = nullptr;
     core::FrameKeys call_keys{key(pc.input_a), 0};
     if (pc.input_b != analysis::kNoFrame) {
-      AE_EXPECTS(program.valid_frame(pc.input_b) &&
-                     have[static_cast<std::size_t>(pc.input_b)],
+      AE_EXPECTS(available(pc.input_b),
                  "execute_program: call reads an unavailable second frame");
-      b = &values[static_cast<std::size_t>(pc.input_b)];
+      b = values[static_cast<std::size_t>(pc.input_b)];
       call_keys.b = key(pc.input_b);
     }
     std::vector<u64> pins;
     for (const i32 kept : plan.assignments[p].keep)
-      if (program.valid_frame(kept) && have[static_cast<std::size_t>(kept)])
-        pins.push_back(key(kept));
+      if (available(kept)) pins.push_back(key(kept));
     u64 output_key = 0;
     alib::CallResult r =
-        submit_request(pc.call, values[static_cast<std::size_t>(pc.input_a)],
+        submit_request(pc.call, *values[static_cast<std::size_t>(pc.input_a)],
                        b, call_keys, home, std::move(pins), &output_key)
             .get();
     out.side.merge(r.side);
     out.stats.merge(r.stats);
     out.segments.insert(out.segments.end(), r.segments.begin(),
                         r.segments.end());
-    values[static_cast<std::size_t>(pc.output)] = std::move(r.output);
-    have[static_cast<std::size_t>(pc.output)] = true;
-    keys[static_cast<std::size_t>(pc.output)] = output_key;
+    const auto o = static_cast<std::size_t>(pc.output);
+    results[o] = std::move(r.output);
+    values[o] = &results[o];
+    keys[o] = output_key;
   }
-  for (const i32 f : program.outputs()) {
-    AE_EXPECTS(program.valid_frame(f) && have[static_cast<std::size_t>(f)],
+  // Results move out on their last mention in outputs(); a caller input,
+  // or a result named again later, is copied.
+  const std::vector<i32>& declared = program.outputs();
+  for (auto it = declared.begin(); it != declared.end(); ++it) {
+    AE_EXPECTS(available(*it),
                "execute_program: declared output was never produced");
-    out.outputs.push_back(values[static_cast<std::size_t>(f)]);
+    const auto f = static_cast<std::size_t>(*it);
+    if (values[f] == &results[f] &&
+        std::find(it + 1, declared.end(), *it) == declared.end())
+      out.outputs.push_back(std::move(results[f]));
+    else
+      out.outputs.push_back(*values[f]);
   }
   return out;
 }

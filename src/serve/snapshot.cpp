@@ -369,6 +369,10 @@ ShardSnapshot parse_snapshot(const std::vector<u8>& blob) {
     frame.hash = r.u64v();
     frame.content = read_image(r);
     if (r.u32v() != frame_crc(frame.content)) fail("resident frame CRC");
+    // The key steers affinity routing and residency after a restore, so it
+    // must be the content's own key, not merely a well-formed one.
+    if (frame.hash != core::frame_content_hash(frame.content))
+      fail("resident frame key");
     snapshot.frames.push_back(std::move(frame));
   }
 

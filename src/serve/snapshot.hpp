@@ -22,6 +22,14 @@
 // only that frame degrades to cold, never the whole restore.  Deserializing
 // a corrupted blob throws `SnapshotCorruption`; a blob written by a
 // different format revision throws `SnapshotVersionMismatch`.
+//
+// Version 2 changed what the persisted keys mean, not the layout: every
+// hash field (`residency.input_slots[].hash`, `residency.result_hash`,
+// `frames[].hash`) is a `core::frame_content_hash` key, and that hash was
+// replaced (version 1 keys were FNV-1a and would never match a live frame).
+// Version 2 also checks each resident frame's key against its content: a
+// forged key is `SnapshotCorruption` ("resident frame key"), at the cost of
+// one hash pass per restored frame.
 #pragma once
 
 #include <vector>
@@ -35,7 +43,7 @@
 namespace ae::serve {
 
 inline constexpr u32 kSnapshotMagic = 0x4145534Eu;  // "AESN"
-inline constexpr u32 kSnapshotVersion = 1;
+inline constexpr u32 kSnapshotVersion = 2;
 
 /// Base of the snapshot error taxonomy.
 class SnapshotError : public Error {
@@ -63,7 +71,8 @@ class SnapshotVersionMismatch : public SnapshotError {
 };
 
 /// One resident frame, content included, keyed by the same content hash the
-/// residency tables and the farm's affinity router use.
+/// residency tables and the farm's affinity router use.  `hash` must equal
+/// `core::frame_content_hash(content)`; parse_snapshot enforces it.
 struct ResidentFrame {
   u64 hash = 0;
   img::Image content;

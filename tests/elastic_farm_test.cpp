@@ -10,6 +10,7 @@
 
 #include <deque>
 #include <future>
+#include <string>
 #include <vector>
 
 #include "addresslib/functional.hpp"
@@ -45,12 +46,14 @@ ShardSnapshot sample_snapshot(Rng& rng) {
   s.breaker = {core::BreakerState::HalfOpen, 2, 5};
   const img::Image f0 = img::make_test_frame(Size{24, 18}, 5);
   const img::Image f1 = img::make_test_frame(Size{48, 32}, 6);
-  s.residency.input_slots[0] = {0xAAAA, 7, false};
-  s.residency.input_slots[1] = {0xBBBB, 9, true};
+  const u64 k0 = core::frame_content_hash(f0);
+  const u64 k1 = core::frame_content_hash(f1);
+  s.residency.input_slots[0] = {k0, 7, false};
+  s.residency.input_slots[1] = {k1, 9, true};
   s.residency.result_hash = 0xCCCC;
   s.residency.use_clock = 11;
-  s.frames.push_back({0xAAAA, f0});
-  s.frames.push_back({0xBBBB, f1});
+  s.frames.push_back({k0, f0});
+  s.frames.push_back({k1, f1});
   for (int i = 0; i < 6; ++i) {
     bool needs_b = false;
     s.queued.push_back(test::random_any_call(rng, Size{48, 32}, needs_b));
@@ -162,6 +165,26 @@ TEST(SnapshotFormatTest, InconsistentResidencyClockIsCorruption) {
       future_slot.residency.use_clock + 1;
   EXPECT_THROW(serve::parse_snapshot(serve::serialize_snapshot(future_slot)),
                serve::SnapshotCorruption);
+}
+
+// A resident frame's key steers affinity routing after a restore, so a key
+// that is not its content's own is rejected even under a valid checksum.
+// Version 1 blobs carry keys of the previous hash and are refused whole.
+TEST(SnapshotFormatTest, ForgedFrameKeyIsCorruption) {
+  Rng rng(0x51AFu);
+  ShardSnapshot forged = sample_snapshot(rng);
+  forged.frames[1].hash ^= 1;
+  try {
+    serve::parse_snapshot(serve::serialize_snapshot(forged));
+    FAIL() << "forged resident frame key was accepted";
+  } catch (const serve::SnapshotCorruption& e) {
+    EXPECT_NE(std::string(e.what()).find("resident frame key"),
+              std::string::npos)
+        << e.what();
+  }
+  std::vector<u8> v1 = serve::serialize_snapshot(sample_snapshot(rng));
+  v1[4] = 1;
+  EXPECT_THROW(serve::parse_snapshot(v1), serve::SnapshotVersionMismatch);
 }
 
 TEST(SnapshotFormatTest, InjectorRotIsCountedAndDetected) {

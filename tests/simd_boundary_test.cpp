@@ -16,9 +16,11 @@
 #include <vector>
 
 #include "addresslib/functional.hpp"
+#include "addresslib/kernels/frame_hash.hpp"
 #include "addresslib/kernels/kernel_backend.hpp"
 #include "addresslib/kernels/simd.hpp"
 #include "common/parallel.hpp"
+#include "image/synth.hpp"
 #include "test_util.hpp"
 
 namespace ae {
@@ -242,6 +244,50 @@ TEST(SimdBoundary, ClampFreeKernelsAreExactWhereTheProofHolds) {
                          p),
         all, extremes, nullptr);
   }
+}
+
+// ---- frame content hash: u64 lanes and golden keys ------------------------
+
+TEST(SimdBoundary, U64LanePrimitivesMatchTheWideReference) {
+  constexpr u64 kWide[] = {0,           1,           0xFFFFFFFFull,
+                           1ull << 32,  ~u64{0},     0x8000000000000000ull,
+                           0x123456789ABCDEF0ull};
+  for (const u64 a : kWide) {
+    for (const u64 b : kWide) {
+      u64 lanes[2];
+      const auto check = [&](const char* name, simd::U64x2 got, u64 want) {
+        simd::store(lanes, got);
+        EXPECT_EQ(lanes[0], want) << name << " " << a << " " << b;
+        EXPECT_EQ(lanes[1], want) << name << " " << a << " " << b;
+      };
+      const simd::U64x2 va = simd::make64(a, a);
+      const simd::U64x2 vb = simd::make64(b, b);
+      check("add", simd::add(va, vb), a + b);
+      check("xor", simd::bit_xor(va, vb), a ^ b);
+      check("and", simd::bit_and(va, vb), a & b);
+      check("mul32", simd::mul32(va, vb),
+            (a & 0xFFFFFFFFull) * (b & 0xFFFFFFFFull));
+      check("shr47", simd::shr64<47>(va), a >> 47);
+      check("shl32", simd::shl64<32>(va), a << 32);
+    }
+  }
+  // Unaligned little-endian load: lane 0 is bytes 1..8, lane 1 bytes 9..16.
+  u8 bytes[17];
+  for (int i = 0; i < 17; ++i) bytes[i] = static_cast<u8>(i);
+  u64 lanes[2];
+  simd::store(lanes, simd::load64(bytes + 1));
+  EXPECT_EQ(lanes[0], 0x0807060504030201ull);
+  EXPECT_EQ(lanes[1], 0x100F0E0D0C0B0A09ull);
+}
+
+// The same constants in the vector build and its forced-scalar twin: the
+// SSE2, NEON and scalar lowerings of frame_hash agree.  A CIF frame is all
+// full 8-pixel stripes; a 7x3 frame is all scalar tail.
+TEST(SimdBoundary, FrameHashGoldenKeys) {
+  EXPECT_EQ(alib::kern::frame_hash(img::make_test_frame(Size{352, 288}, 1)),
+            0x80A83462D3522B05ull);
+  EXPECT_EQ(alib::kern::frame_hash(img::make_test_frame(Size{7, 3}, 1)),
+            0x08F91B97806BF7E8ull);
 }
 
 }  // namespace
