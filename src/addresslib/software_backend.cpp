@@ -24,7 +24,12 @@ CallResult SoftwareBackend::execute(const Call& call, const img::Image& a,
                                     const img::Image* b) {
   SegmentRunInfo seg;
   CallResult result = alib::execute(call, a, b, seg, options_.kernels);
-  CallStats& stats = result.stats;
+  price(call, seg, result.stats);
+  return result;
+}
+
+void SoftwareBackend::price(const Call& call, const SegmentRunInfo& seg,
+                            CallStats& stats) const {
   const auto pixels = static_cast<u64>(stats.pixels);
 
   // Image accesses under the strict-window-reuse model of the 2005 code.
@@ -64,7 +69,6 @@ CallResult SoftwareBackend::execute(const Call& call, const img::Image& a,
   }
 
   stats.model_seconds = model_.seconds(stats.profile);
-  return result;
 }
 
 }  // namespace ae::alib

@@ -33,6 +33,11 @@ class SoftwareBackend : public Backend {
   std::string name() const override;
   CallResult execute(const Call& call, const img::Image& a,
                      const img::Image* b = nullptr) override;
+  /// Prices an executed call: writes the software accounting (accesses,
+  /// instruction profile, modeled seconds) into `stats`, which carries the
+  /// pixel counts alib::execute reported along with `seg`.
+  void price(const Call& call, const SegmentRunInfo& seg,
+             CallStats& stats) const;
 
   const SoftwareCostModel& cost_model() const { return model_; }
   const SoftwareOptions& options() const { return options_; }

@@ -47,7 +47,7 @@ void lint_redundant_reupload(const CallProgram& program,
       report.add(Severity::Warning, rules::kRedundantReupload, cp.call_index,
                  os.str(),
                  "run the program through a residency-aware session "
-                 "(reuse_resident_frames)");
+                 "(core::EngineSession)");
     }
   }
 }

@@ -22,7 +22,7 @@
 //     drives, keyed by frame id instead of content hash.  Each call
 //     input is classified Transferred / Reused / Relocated, which prices
 //     the avoidable inter-call PCI traffic and feeds the AEW3xx lints
-//     (lints.hpp) and the farm's cost-aware routing (serve/farm.*).
+//     (lints.hpp) and the residency allocator (alloc.hpp).
 //
 // The planner prices; it never diagnoses — findings derived from a plan
 // live in lints.hpp so the warning catalog stays in one place.
@@ -69,8 +69,8 @@ struct CostEnvelope {
   i32 iim_peak_lines = 0;   ///< static bound on IIM line occupancy
   i32 oim_peak_lines = 0;   ///< static bound on OIM line occupancy
   /// Bus-side input phase (transfer + strip handshakes) of the estimate —
-  /// the CallPhases::input_cycles analogue a pipelining or cost-aware
-  /// scheduler prices overlap and shard transfer cost from.
+  /// the CallPhases::input_cycles analogue a pipelining scheduler prices
+  /// overlap from.
   u64 input_cycles_estimate = 0;
 };
 

@@ -79,7 +79,7 @@ inline constexpr const char* kSegmentIdOverlap = "AEV211";
 // ---- performance lints (AEW3xx) --------------------------------------------
 /// A call re-uploads an input frame that the bank-residency schedule keeps
 /// in an input pair from an earlier call — a residency-aware driver skips
-/// the whole PCI transfer (EngineSession's reuse_resident_frames).
+/// the whole PCI transfer (EngineSession's frame residency).
 inline constexpr const char* kRedundantReupload = "AEW300";
 /// A call's result is never read by any later call and is not a program
 /// output, yet a later call overwrites the result banks — the store (and

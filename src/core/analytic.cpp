@@ -6,7 +6,8 @@ namespace ae::core {
 
 EngineRunStats analytic_run_stats(const EngineConfig& config,
                                   const alib::Call& call, Size frame,
-                                  i64 processed_pixels, i64 criterion_tests) {
+                                  i64 processed_pixels, i64 criterion_tests,
+                                  AnalyticTiming* timing) {
   const ScanSpace space(frame, call.scan);
   const i64 pixels = frame.area();
   const int images = call.mode == alib::Mode::Inter ? 2 : 1;
@@ -65,7 +66,31 @@ EngineRunStats analytic_run_stats(const EngineConfig& config,
       static_cast<i64>(config.strip_lines) * space.line_length();
   run.interrupts = static_cast<u64>(strips * images + 1) +
                    static_cast<u64>((pixels + strip_pixels - 1) / strip_pixels);
+  if (timing != nullptr) *timing = t;
   return run;
+}
+
+AnalyticPrice analytic_call_stats(const EngineConfig& config,
+                                  const alib::Call& call, Size frame,
+                                  const alib::SegmentRunInfo& seg,
+                                  alib::CallStats& stats) {
+  AnalyticTiming t;
+  AnalyticPrice price;
+  price.run = analytic_run_stats(config, call, frame, seg.processed_pixels,
+                                 seg.criterion_tests, &t);
+  price.input_cycles = t.input_busy_cycles + t.input_overhead_cycles;
+  price.output_cycles = t.output_busy_cycles + t.output_overhead_cycles;
+  const EngineRunStats& run = price.run;
+  stats.pixels = run.pixels;
+  stats.loads = run.zbt_read_transactions;
+  stats.stores = run.zbt_write_transactions;
+  stats.cycles = run.cycles;
+  stats.pci_cycles = run.bus_busy_cycles + run.bus_overhead_cycles;
+  stats.stall_cycles = run.pu_stall_iim + run.pu_stall_oim;
+  stats.zbt_word_accesses = run.zbt_word_accesses;
+  stats.model_seconds =
+      static_cast<double>(run.cycles) * config.seconds_per_cycle();
+  return price;
 }
 
 }  // namespace ae::core

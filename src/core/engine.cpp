@@ -30,19 +30,8 @@ alib::CallResult EngineBackend::execute(const alib::Call& call,
   alib::SegmentRunInfo seg;
   alib::CallResult result = alib::execute(call, a, b, seg);
   validate_frame(config_, a.size());
-  last_run_ = analytic_run_stats(config_, call, a.size(),
-                                 seg.processed_pixels, seg.criterion_tests);
-  alib::CallStats& stats = result.stats;
-  stats.pixels = last_run_.pixels;
-  stats.loads = last_run_.zbt_read_transactions;
-  stats.stores = last_run_.zbt_write_transactions;
-  stats.cycles = last_run_.cycles;
-  stats.pci_cycles =
-      last_run_.bus_busy_cycles + last_run_.bus_overhead_cycles;
-  stats.stall_cycles = last_run_.pu_stall_iim + last_run_.pu_stall_oim;
-  stats.zbt_word_accesses = last_run_.zbt_word_accesses;
-  stats.model_seconds =
-      static_cast<double>(last_run_.cycles) * config_.seconds_per_cycle();
+  last_run_ =
+      analytic_call_stats(config_, call, a.size(), seg, result.stats).run;
   return result;
 }
 

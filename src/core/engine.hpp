@@ -31,7 +31,6 @@ class EngineBackend : public alib::Backend {
 
   const EngineConfig& config() const { return config_; }
   EngineMode mode() const { return mode_; }
-  void set_mode(EngineMode mode) { mode_ = mode; }
 
   /// Detailed statistics of the most recent execute().
   const EngineRunStats& last_run() const { return last_run_; }

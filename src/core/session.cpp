@@ -140,33 +140,24 @@ alib::CallResult EngineSession::execute(const alib::Call& call,
   ++stats_.calls;
 
   const int images = call.mode == alib::Mode::Inter ? 2 : 1;
-  const EngineRunStats base = analytic_run_stats(
-      config_, call, a.size(), seg.processed_pixels, seg.criterion_tests);
-  const AnalyticTiming timing =
-      call.mode == alib::Mode::Segment
-          ? analytic_segment_timing(config_, call, a.size(),
-                                    seg.processed_pixels,
-                                    seg.criterion_tests)
-          : analytic_streamed_timing(config_, call, a.size());
-
-  u64 cycles = base.cycles;
+  const AnalyticPrice price =
+      analytic_call_stats(config_, call, a.size(), seg, result.stats);
+  u64 cycles = price.run.cycles;
   const auto pixels = static_cast<u64>(a.pixel_count());
 
   // Input transfers skipped for resident frames.  The table's claim set
   // keeps an inter call with identical inputs from counting one on-board
   // copy twice (the engine reads both bank pairs in parallel).
-  const u64 per_frame_in =
-      (timing.input_busy_cycles + timing.input_overhead_cycles) /
-      static_cast<u64>(images);
-  u64 input_cycles = timing.input_busy_cycles + timing.input_overhead_cycles;
+  const u64 per_frame_in = price.input_cycles / static_cast<u64>(images);
+  u64 input_cycles = price.input_cycles;
   const std::array<u64, 2> wanted{keys.a, keys.b};
   const auto order = ResidencyTable<u64>::sparing(
       [this](u64 hash) { return is_pinned(hash); });
   for (int f = 0; f < images; ++f) {
     const TransferKind kind =
         residency_
-            .acquire(wanted[static_cast<std::size_t>(f)],
-                     options_.reuse_resident_frames, order)
+            .acquire(wanted[static_cast<std::size_t>(f)], /*reusable=*/true,
+                     order)
             .kind;
     if (kind == TransferKind::Transferred) {
       ++stats_.inputs_transferred;
@@ -184,10 +175,9 @@ alib::CallResult EngineSession::execute(const alib::Call& call,
   }
 
   // Side-only calls keep their result on board.
-  if (options_.skip_side_only_readback && is_side_only_op(call.op)) {
+  if (is_side_only_op(call.op)) {
     ++stats_.outputs_elided;
-    cycles -= std::min(
-        cycles, timing.output_busy_cycles + timing.output_overhead_cycles);
+    cycles -= std::min(cycles, price.output_cycles);
   } else {
     ++stats_.outputs_read_back;
   }
@@ -205,11 +195,7 @@ alib::CallResult EngineSession::execute(const alib::Call& call,
   result.stats.cycles = cycles;
   // Whatever time remains is (at most) bus time: savings only ever remove
   // transfers, never add non-bus work beyond the board copies.
-  result.stats.pci_cycles =
-      std::min(cycles, base.bus_busy_cycles + base.bus_overhead_cycles);
-  result.stats.loads = base.zbt_read_transactions;
-  result.stats.stores = base.zbt_write_transactions;
-  result.stats.pixels = base.pixels;
+  result.stats.pci_cycles = std::min(cycles, result.stats.pci_cycles);
   result.stats.model_seconds =
       static_cast<double>(cycles) * config_.seconds_per_cycle();
   return result;

@@ -19,12 +19,13 @@
 //     readback.
 // Pixels come from the host's one pixel dispatch, alib::execute (the kernel
 // backend, bit-exact with the interpreter down to the segment traversal
-// counts the timing model prices); only the timing model differs from a
-// plain EngineBackend.  Residency is keyed by frame content: each input is
-// hashed at most once per call, and not at all when the layer above already
-// carries its key (FrameKeys; serve::EngineFarm hashes at submission).  The
-// `session_optimization` bench quantifies the effect on the Table 3
-// workload.
+// counts the timing model prices).  The price is the analytic
+// EngineBackend's (core::analytic_call_stats) with the residency and
+// readback credits applied on top.  Residency is keyed by frame content:
+// each input is hashed at most once per call, and not at all when the layer
+// above already carries its key (FrameKeys; serve::EngineFarm hashes at
+// submission).  The `session_optimization` bench quantifies the effect on
+// the Table 3 workload.
 #pragma once
 
 #include <vector>
@@ -40,11 +41,13 @@ class EngineTrace;
 class FaultInjector;
 
 struct SessionOptions {
-  bool reuse_resident_frames = true;
-  bool skip_side_only_readback = true;
   /// Run the aeverify static rule set (analysis/verifier.hpp) over every
   /// call before touching the board; ill-formed calls throw
   /// analysis::VerificationError instead of tripping asserts mid-flight.
+  /// Opt-in because the guard also rejects (AEV210) inter calls whose two
+  /// distinct frames have equal content, which the session prices correctly.
+  /// serve::EngineFarm reads it from ResilientOptions::session and runs the
+  /// guard in the submitter's context.
   bool validate_before_execute = false;
 };
 

@@ -27,9 +27,9 @@ struct HostCpuModel {
 inline HostCpuModel pentium_m_1_6() { return HostCpuModel{1.6e9, 1.2}; }
 inline HostCpuModel pentium_4_3_0() { return HostCpuModel{3.0e9, 1.35}; }
 
-/// Backend wrapper: executes through the software path (functional result +
-/// Pentium-M accounting) and simultaneously prices each call on the engine
-/// with the analytic model.
+/// Backend wrapper: executes each call once on the host pixel path and
+/// prices it on both platforms from the same traversal counts — Pentium-M
+/// accounting (SoftwareBackend::price) and the engine's analytic model.
 class DualPlatformBackend : public alib::Backend {
  public:
   explicit DualPlatformBackend(
@@ -43,23 +43,16 @@ class DualPlatformBackend : public alib::Backend {
 
   alib::CallResult execute(const alib::Call& call, const img::Image& a,
                            const img::Image* b = nullptr) override {
-    alib::CallResult result = software_.execute(call, a, b);
+    alib::SegmentRunInfo seg;
+    alib::CallResult result =
+        alib::execute(call, a, b, seg, software_.options().kernels);
+    software_.price(call, seg, result.stats);
     software_seconds_ += result.stats.model_seconds;
     software_stats_.merge(result.stats);
-
-    i64 seg_pixels = -1;
-    i64 seg_tests = 0;
-    if (call.mode == alib::Mode::Segment) {
-      seg_pixels = result.stats.pixels;
-      // Tests are not in CallStats; approximate with the connectivity bound.
-      seg_tests = seg_pixels *
-                  static_cast<i64>(
-                      alib::connectivity_offsets(call.segment.connectivity)
-                          .size());
-    }
-    const core::EngineRunStats run = core::analytic_run_stats(
-        engine_config_, call, a.size(), seg_pixels, seg_tests);
-    engine_cycles_ += run.cycles;
+    engine_cycles_ += core::analytic_run_stats(engine_config_, call, a.size(),
+                                               seg.processed_pixels,
+                                               seg.criterion_tests)
+                          .cycles;
 
     if (call.mode == alib::Mode::Inter) {
       ++inter_calls_;

@@ -18,18 +18,6 @@ std::string admission_message(u64 predicted, u64 budget) {
   return os.str();
 }
 
-/// Cycles a shard pays to stream one frame it does not hold: the words at
-/// the sustained bus rate plus the per-strip handshakes.
-u64 frame_transfer_cycles(const core::EngineConfig& config, Size frame) {
-  if (frame.area() <= 0) return 0;
-  const double wpc = core::timing_detail::words_per_cycle(config);
-  const i64 lines = frame.height;  // strip count in row-major scan space
-  const i64 strips = (lines + config.strip_lines - 1) / config.strip_lines;
-  return core::timing_detail::ceil_div_words(
-             2.0 * static_cast<double>(frame.area()), wpc) +
-         static_cast<u64>(strips) * config.interrupt_overhead_cycles;
-}
-
 }  // namespace
 
 AdmissionError::AdmissionError(u64 predicted_upper_cycles, u64 budget_cycles)
@@ -263,7 +251,7 @@ std::future<alib::CallResult> EngineFarm::submit_request(
   // request: the router, the shard's session and its snapshot bookkeeping
   // all read these keys instead of hashing the frame again.
   keys = keys.resolved(a, b);
-  if (options_.validate_before_execute)
+  if (options_.resilient.session.validate_before_execute)
     core::static_verify_call(options_.config, call, a, b, keys);
   if (options_.admission_budget_cycles > 0) {
     // Static admission: the planned upper bound is available before any
@@ -308,11 +296,6 @@ std::future<alib::CallResult> EngineFarm::submit_request(
   request.output_key = output_key;
   request.forced_shard = forced_shard;
   request.pin_hashes = std::move(pin_hashes);
-  if (options_.cost_aware_routing) {
-    request.transfer_cost_a = frame_transfer_cycles(options_.config, a.size());
-    request.transfer_cost_b =
-        b != nullptr ? frame_transfer_cycles(options_.config, b->size()) : 0;
-  }
   std::future<alib::CallResult> future = request.promise.get_future();
 
   sync::MutexLock lock(mu_);
@@ -338,76 +321,28 @@ int EngineFarm::route(const Request& request, bool& affinity_hit) {
   if (request.forced_shard >= 0)
     return std::min(request.forced_shard,
                     static_cast<int>(shards_.size()) - 1);
-  // Cost-aware routing: minimize the predicted transfer cost — a shard
-  // whose residency (the scheduler-thread affinity map) already holds a
-  // frame is charged nothing for it.  Health and backlog dominate the key
-  // so a broken or convoyed shard never wins on residency alone; backlog
-  // and shard clock break cost ties exactly like the load-balancing path.
-  if (options_.cost_aware_routing) {
-    int best = 0;
-    u64 best_key[5] = {~0ull, ~0ull, ~0ull, ~0ull, ~0ull};
-    u64 best_miss = ~0ull;
-    const u64 full_cost = request.transfer_cost_a + request.transfer_cost_b;
-    const auto holder = [&](u64 hash) {
-      const auto hit = affinity_.find(hash);
-      return hash != 0 && hit != affinity_.end() ? hit->second : -1;
-    };
-    const int holder_a = holder(request.keys.a);
-    const int holder_b = holder(request.keys.b);
-    for (int s = 0; s < static_cast<int>(shards_.size()); ++s) {
-      Shard& shard = *shards_[static_cast<std::size_t>(s)];
-      u64 miss_cost = 0;
-      if (holder_a != s) miss_cost += request.transfer_cost_a;
-      if (holder_b != s) miss_cost += request.transfer_cost_b;
+  // Affinity first: a shard already holding one of the input frames skips
+  // that frame's strip DMA entirely.
+  for (const u64 hash : {request.keys.a, request.keys.b}) {
+    if (hash == 0) continue;
+    const auto hit = affinity_.find(hash);
+    if (hit == affinity_.end()) continue;
+    Shard& shard = *shards_[static_cast<std::size_t>(hit->second)];
+    {
       sync::MutexLock lock(shard.mu);
-      const u64 backlog = shard.queue.size() + (shard.busy ? 1u : 0u);
-      const u64 key[5] = {
-          shard.breaker == core::BreakerState::Closed ? 0ull : 1ull,
-          backlog >= options_.affinity_spill_depth ? 1ull : 0ull, miss_cost,
-          backlog, shard.clock_cycles};
-      if (std::lexicographical_compare(key, key + 5, best_key,
-                                       best_key + 5)) {
-        std::copy(key, key + 5, best_key);
-        best = s;
-        best_miss = miss_cost;
+      const std::size_t backlog = shard.queue.size() + (shard.busy ? 1 : 0);
+      if (shard.breaker == core::BreakerState::Closed &&
+          backlog < options_.affinity_spill_depth) {
+        affinity_hit = true;
+        return hit->second;
       }
     }
-    // An "affinity hit" in the cost model: the winner holds at least one
-    // of the frames, so part of the transfer cost is predicted away.
-    affinity_hit = best_miss < full_cost;
-    if (!affinity_hit && (holder_a >= 0 || holder_b >= 0)) {
-      // Some shard held a frame but lost on health/backlog: a spill, in
-      // the same sense as the binary affinity path.
+    // Affinity shard convoyed or unhealthy: spill to load balancing.
+    {
       sync::MutexLock farm_lock(mu_);
       ++affinity_spills_;
     }
-    return best;
-  }
-  // Affinity first: a shard already holding one of the input frames skips
-  // that frame's strip DMA entirely.
-  if (options_.affinity_routing) {
-    for (const u64 hash : {request.keys.a, request.keys.b}) {
-      if (hash == 0) continue;
-      const auto hit = affinity_.find(hash);
-      if (hit == affinity_.end()) continue;
-      Shard& shard = *shards_[static_cast<std::size_t>(hit->second)];
-      {
-        sync::MutexLock lock(shard.mu);
-        const std::size_t backlog =
-            shard.queue.size() + (shard.busy ? 1 : 0);
-        if (shard.breaker == core::BreakerState::Closed &&
-            backlog < options_.affinity_spill_depth) {
-          affinity_hit = true;
-          return hit->second;
-        }
-      }
-      // Affinity shard convoyed or unhealthy: spill to load balancing.
-      {
-        sync::MutexLock farm_lock(mu_);
-        ++affinity_spills_;
-      }
-      break;
-    }
+    break;
   }
   // Least-loaded healthy shard; modeled shard clock breaks backlog ties so
   // work spreads even when every queue is empty.  An open breaker only
@@ -431,12 +366,10 @@ int EngineFarm::route(const Request& request, bool& affinity_hit) {
 
 void EngineFarm::dispatch(Request request, int shard_index,
                           bool affinity_hit) {
-  if (options_.affinity_routing || options_.cost_aware_routing) {
-    // The shard will hold these frames after the call; later submissions
-    // with the same content follow them (batch-mates included).
-    if (request.keys.a != 0) affinity_[request.keys.a] = shard_index;
-    if (request.keys.b != 0) affinity_[request.keys.b] = shard_index;
-  }
+  // The shard will hold these frames after the call; later submissions with
+  // the same content follow them (batch-mates included).
+  if (request.keys.a != 0) affinity_[request.keys.a] = shard_index;
+  if (request.keys.b != 0) affinity_[request.keys.b] = shard_index;
   Shard& shard = *shards_[static_cast<std::size_t>(shard_index)];
   std::size_t depth = 0;
   {
@@ -505,7 +438,7 @@ void EngineFarm::worker_loop(Shard& shard) {
       shard.busy = true;
       // Overlap is only physical when this request was already queued
       // while the previous call ran — its strips had a tail to hide in.
-      can_overlap = shard.prev_on_engine && options_.overlap_strips;
+      can_overlap = shard.prev_on_engine;
     }
 
     const i64 fallbacks_before = shard.session.stats().fallback_calls;
@@ -547,8 +480,7 @@ void EngineFarm::worker_loop(Shard& shard) {
         shard.breaker = shard.session.breaker();
         shard.resilient = shard.session.stats();
         shard.session_stats = shard.session.session().stats();
-        if (options_.elastic_state_tracking)
-          update_resident_frames(shard, request, result.output);
+        update_resident_frames(shard, request, result.output);
         shard.busy = false;
         // Pipeline continuity: the *next* call may overlap only if it is
         // already waiting now (otherwise its strips missed this tail).

@@ -73,16 +73,15 @@ struct FarmOptions {
   /// Board configuration, shared by every shard.
   core::EngineConfig config;
   /// Driver options applied to every shard (fault plan, retry budgets,
-  /// breaker tuning, session residency switches).
+  /// breaker tuning).  With `resilient.session.validate_before_execute` set,
+  /// submit() also runs the aeverify guard in the caller's context, so an
+  /// ill-formed call throws analysis::VerificationError from submit()
+  /// instead of failing on a shard worker.
   core::ResilientOptions resilient;
   /// Per-shard fault-plan overrides: shard s uses shard_faults[s] when
   /// s < shard_faults.size(), else `resilient.plan`.  This is how a test or
   /// sweep makes exactly one board faulty.
   std::vector<core::FaultPlan> shard_faults;
-  /// Route calls to the shard holding their input frames (vs round robin).
-  bool affinity_routing = true;
-  /// Overlap the next call's input strips with the current call's tail.
-  bool overlap_strips = true;
   /// An affinity shard with this many calls already queued spills to the
   /// least-loaded healthy shard instead.
   std::size_t affinity_spill_depth = 8;
@@ -90,17 +89,6 @@ struct FarmOptions {
   std::size_t queue_capacity = 4096;
   /// Calls the scheduler routes per wakeup (one batch).
   int max_batch = 16;
-  /// Run the aeverify static rule set over every submission, in the
-  /// caller's context; ill-formed calls throw analysis::VerificationError
-  /// from submit() instead of failing on a shard worker.
-  bool validate_before_execute = false;
-  /// Cost-aware routing (aeplan): price each submission's input transfers
-  /// statically (analysis::plan_call, no backend involved) and route to the
-  /// shard with the lowest predicted transfer cost — a shard already
-  /// holding a frame is charged nothing for it — breaking ties by backlog
-  /// and shard clock.  Replaces the binary affinity-hit test with a cost
-  /// model; results stay bit-exact (routing only changes placement).
-  bool cost_aware_routing = false;
   /// Static admission control: when non-zero, submit() rejects any call
   /// whose planned cycle upper bound (plan_call, setup included) exceeds
   /// this budget by throwing AdmissionError in the caller's context —
@@ -121,11 +109,6 @@ struct FarmOptions {
   /// FarmStats::planned_words_saved.  Per-call submit()/execute() traffic
   /// is unaffected.
   bool residency_plan = false;
-  /// Keep a host-side copy of each shard's resident frames (content keyed
-  /// by frame hash) so snapshots carry frame content and rebalancing can
-  /// migrate frames between boards.  Frames are copied only when residency
-  /// changes; steady-state reuse costs map lookups per call.
-  bool elastic_state_tracking = true;
 };
 
 /// Throws InvalidArgument on non-positive shard count / capacities, or more
@@ -330,12 +313,8 @@ class EngineFarm : public alib::Backend {
     /// the promise (0 when the session did not hash it); null when the
     /// submitter has no use for it.
     u64* output_key = nullptr;
-    /// Static per-frame transfer-cycle estimates (cost-aware routing only):
-    /// the cycles a shard NOT holding the frame pays to stream it in.
-    u64 transfer_cost_a = 0;
-    u64 transfer_cost_b = 0;
     /// Plan-directed execution: route to exactly this shard (bypassing
-    /// affinity/cost routing) when >= 0 — a residency plan is only worth
+    /// affinity routing) when >= 0 — a residency plan is only worth
     /// anything if the whole program shares one board.
     int forced_shard = -1;
     /// Frame hashes pinned on the serving session for this call (empty for

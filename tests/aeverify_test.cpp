@@ -177,7 +177,7 @@ TEST(DuplicateSlot, ResilientGuardRejectsBeforeAnyAccounting) {
 TEST(DuplicateSlot, FarmGuardRejectsInTheCallersContext) {
   serve::FarmOptions options;
   options.shards = 2;
-  options.validate_before_execute = true;
+  options.resilient.session.validate_before_execute = true;
   serve::EngineFarm farm(options);
 
   const img::Image a = test::small_frame();

@@ -8,15 +8,19 @@
 //   * the cycle-accurate engine simulator against the software backend
 //     (single-engine differential, tier2), and
 //   * a multi-shard EngineFarm fed by concurrent clients against a serial
-//     interpreter sweep of the same workload (farm differential, tier2) —
-//     scheduling, affinity routing and strip pipelining must be invisible
-//     in results.  The farm computes pixels on the kernel backend, so the
+//     interpreter sweep of the same workload (farm differential, tier2),
+//     once with default options and once with every remaining FarmOptions
+//     knob off its default — scheduling, affinity routing, spills,
+//     back-pressure, admission and strip pipelining must be invisible in
+//     results.  The farm computes pixels on the kernel backend, so the
 //     reference is the interpreter, never the SoftwareBackend.
 //
 // The generator lives in test_util.hpp (random_any_call) so every suite
 // fuzzes the same call space.  All cases are seeded/deterministic.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <deque>
 #include <future>
 #include <thread>
@@ -24,6 +28,7 @@
 #include <vector>
 
 #include "addresslib/kernels/kernel_backend.hpp"
+#include "analysis/planner.hpp"
 #include "common/parallel.hpp"
 #include "core/core.hpp"
 #include "serve/farm.hpp"
@@ -288,7 +293,9 @@ TEST_P(DifferentialSimVsSoftware, RandomCallsAreBitExact) {
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialSimVsSoftware,
                          ::testing::Range<u64>(1, 9));
 
-// 200 differential cases against a 4-shard farm fed by 4 client threads.
+// 200 differential cases against a farm fed by 4 client threads, under two
+// configurations: the defaults on 4 shards, and 3 shards with every other
+// remaining FarmOptions knob moved off its default.
 TEST(DifferentialFarmVsSerial, ConcurrentFarmMatchesSerialSweep) {
   struct Item {
     Call call;
@@ -314,38 +321,62 @@ TEST(DifferentialFarmVsSerial, ConcurrentFarmMatchesSerialSweep) {
     items.push_back(std::move(item));
   }
 
-  serve::FarmOptions options;
-  options.shards = 4;
-  serve::EngineFarm farm(options);
-
-  constexpr std::size_t kClients = 4;
-  std::vector<std::thread> clients;
-  for (std::size_t c = 0; c < kClients; ++c) {
-    clients.emplace_back([&farm, &items, c] {
-      std::vector<std::pair<std::size_t, std::future<alib::CallResult>>>
-          futures;
-      for (std::size_t i = c; i < items.size(); i += kClients)
-        futures.emplace_back(i,
-                             farm.submit(items[i].call, items[i].a,
-                                         items[i].needs_b ? &items[i].b
-                                                          : nullptr));
-      for (auto& [index, future] : futures) {
-        SCOPED_TRACE("case " + std::to_string(index) + ": " +
-                     items[index].call.describe());
-        test::expect_results_equal(items[index].ref, future.get());
-      }
-    });
+  serve::FarmOptions defaults;
+  defaults.shards = 4;
+  serve::FarmOptions tuned;
+  tuned.shards = 3;
+  tuned.max_batch = 1;
+  tuned.affinity_spill_depth = 1;
+  tuned.queue_capacity = 4;
+  tuned.resilient.session.validate_before_execute = true;
+  // Admission runs on every submission and must reject none: the budget
+  // sits above every call's content-free planned upper bound, which bounds
+  // the content-aware envelope the farm computes.
+  analysis::PlanOptions plan_options;
+  plan_options.config = tuned.config;
+  u64 budget = 0;
+  for (const Item& item : items) {
+    const analysis::CostEnvelope envelope =
+        analysis::plan_call(item.call, item.a.size(), plan_options);
+    budget = std::max(budget, envelope.cycles.upper);
   }
-  for (auto& t : clients) t.join();
+  tuned.admission_budget_cycles = budget + 1;
 
-  farm.drain();
-  const serve::FarmStats stats = farm.stats();
-  EXPECT_EQ(stats.completed, 200);
-  // The farm actually farmed: more than one shard served calls.
-  int active_shards = 0;
-  for (const serve::ShardStats& s : stats.shards)
-    active_shards += s.calls > 0 ? 1 : 0;
-  EXPECT_GT(active_shards, 1);
+  for (const serve::FarmOptions& options :
+       std::array<serve::FarmOptions, 2>{defaults, tuned}) {
+    SCOPED_TRACE("farm with " + std::to_string(options.shards) + " shards");
+    serve::EngineFarm farm(options);
+
+    constexpr std::size_t kClients = 4;
+    std::vector<std::thread> clients;
+    for (std::size_t c = 0; c < kClients; ++c) {
+      clients.emplace_back([&farm, &items, c] {
+        std::vector<std::pair<std::size_t, std::future<alib::CallResult>>>
+            futures;
+        for (std::size_t i = c; i < items.size(); i += kClients)
+          futures.emplace_back(i,
+                               farm.submit(items[i].call, items[i].a,
+                                           items[i].needs_b ? &items[i].b
+                                                            : nullptr));
+        for (auto& [index, future] : futures) {
+          SCOPED_TRACE("case " + std::to_string(index) + ": " +
+                       items[index].call.describe());
+          test::expect_results_equal(items[index].ref, future.get());
+        }
+      });
+    }
+    for (auto& t : clients) t.join();
+
+    farm.drain();
+    const serve::FarmStats stats = farm.stats();
+    EXPECT_EQ(stats.completed, 200);
+    EXPECT_EQ(stats.admission_rejected, 0);
+    // The farm actually farmed: more than one shard served calls.
+    int active_shards = 0;
+    for (const serve::ShardStats& s : stats.shards)
+      active_shards += s.calls > 0 ? 1 : 0;
+    EXPECT_GT(active_shards, 1);
+  }
 }
 
 }  // namespace

@@ -116,14 +116,18 @@ TEST(FarmTest, AffinityRoutingReusesResidentFrames) {
 TEST(FarmTest, StripPipeliningSavesModeledCycles) {
   FarmOptions options;
   options.shards = 1;  // force back-to-back execution on one engine
-  options.resilient.session.reuse_resident_frames = false;  // isolate overlap
   EngineFarm farm(options);
-  const img::Image a = test::small_frame();
+  // Content-distinct frames: no input is ever resident, so every call
+  // streams its strips and the savings below are pipelining alone.
+  std::vector<img::Image> frames;
+  for (u64 seed = 1; seed <= 32; ++seed)
+    frames.push_back(test::small_frame(seed));
   const Call call = Call::make_intra(PixelOp::Median,
                                      alib::Neighborhood::con8());
 
   std::vector<std::future<alib::CallResult>> futures;
-  for (int i = 0; i < 32; ++i) futures.push_back(farm.submit(call, a));
+  for (const img::Image& frame : frames)
+    futures.push_back(farm.submit(call, frame));
   for (auto& f : futures) f.get();
 
   const FarmStats stats = farm.stats();
@@ -299,84 +303,7 @@ TEST(FarmTest, ConcurrentShutdownIsSerialized) {
   EXPECT_THROW(farm.submit(call, a), InvalidArgument);
 }
 
-// ---- aeplan integration: cost-aware routing and admission control ----------
-
-// Routing policy may only change placement, never results: a cost-aware
-// farm, a hash-affinity farm and a serial interpreter sweep must agree
-// bit-exactly on a mixed workload across all addressing modes.
-TEST(FarmCostAwareTest, RoutingIsBitExactWithAffinityRouting) {
-  Rng rng(0xAE91u);
-  struct Item {
-    Call call;
-    img::Image a;
-    img::Image b;
-    bool needs_b = false;
-  };
-  std::vector<Item> items;
-  for (int i = 0; i < 48; ++i) {
-    Item item;
-    const Size size = test::random_frame_size(rng);
-    item.call = test::random_any_call(rng, size, item.needs_b);
-    // Repeating content seeds so both routing policies see frame reuse.
-    item.a = img::make_test_frame(size, 1 + rng.bounded(4));
-    item.b = img::make_test_frame(size, 101 + rng.bounded(4));
-    items.push_back(std::move(item));
-  }
-
-  FarmOptions affinity;
-  affinity.shards = 3;
-  FarmOptions cost_aware;
-  cost_aware.shards = 3;
-  cost_aware.cost_aware_routing = true;
-  EngineFarm affinity_farm(affinity);
-  EngineFarm cost_farm(cost_aware);
-
-  std::vector<std::future<alib::CallResult>> from_affinity;
-  std::vector<std::future<alib::CallResult>> from_cost;
-  for (const Item& item : items) {
-    const img::Image* b = item.needs_b ? &item.b : nullptr;
-    from_affinity.push_back(affinity_farm.submit(item.call, item.a, b));
-    from_cost.push_back(cost_farm.submit(item.call, item.a, b));
-  }
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    SCOPED_TRACE("case " + std::to_string(i) + ": " +
-                 items[i].call.describe());
-    const alib::CallResult ref = alib::execute_functional(
-        items[i].call, items[i].a, items[i].needs_b ? &items[i].b : nullptr);
-    test::expect_results_equal(ref, from_affinity[i].get());
-    test::expect_results_equal(ref, from_cost[i].get());
-  }
-
-  // Cost-aware routing still lands repeated frames on their resident shard.
-  cost_farm.drain();
-  EXPECT_GT(cost_farm.stats().affinity_hits, 0);
-}
-
-TEST(FarmCostAwareTest, RepeatedFramesStayResidentUnderCostRouting) {
-  FarmOptions options;
-  options.shards = 2;
-  options.cost_aware_routing = true;
-  options.affinity_spill_depth = 64;  // never spill in this test
-  EngineFarm farm(options);
-  const img::Image x = test::small_frame(11);
-  const img::Image y = test::small_frame(22);
-  const Call call = Call::make_intra(PixelOp::GradientMag,
-                                     alib::Neighborhood::con8());
-
-  std::vector<std::future<alib::CallResult>> futures;
-  for (int i = 0; i < 10; ++i) {
-    futures.push_back(farm.submit(call, x));
-    futures.push_back(farm.submit(call, y));
-  }
-  for (auto& f : futures) f.get();
-
-  const FarmStats stats = farm.stats();
-  i64 reused = 0;
-  for (const serve::ShardStats& s : stats.shards)
-    reused += s.session.inputs_reused;
-  EXPECT_GT(reused, 10) << "cost-aware routing is not keeping frames resident";
-  EXPECT_GT(stats.affinity_hits, 0);
-}
+// ---- aeplan integration: admission control ---------------------------------
 
 TEST(FarmAdmissionTest, BudgetRejectsOverPricedCallsInTheCallerContext) {
   FarmOptions options;

@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "gme/affine.hpp"
 #include "gme/estimator.hpp"
@@ -360,6 +362,35 @@ TEST(DualPlatform, CountsCallsByMode) {
   EXPECT_EQ(be.intra_calls(), 1);
   EXPECT_GT(be.software_platform_seconds(), 0.0);
   EXPECT_GT(be.engine_platform_seconds(), 0.0);
+}
+
+// Both platforms are priced from one execution's traversal counts, so a
+// call's board time is exactly what the analytic engine backend reports —
+// segment calls included, whose criterion tests come from the kernels
+// rather than from a connectivity bound.
+TEST(DualPlatform, BoardTimeMatchesAnalyticEngine) {
+  const img::Image a = img::make_test_frame(Size{48, 32}, 1);
+  const img::Image b = img::make_test_frame(Size{48, 32}, 2);
+  alib::SegmentSpec spec;
+  spec.seeds = {{4, 4}, {40, 20}};
+  const std::vector<std::pair<alib::Call, const img::Image*>> cases{
+      {alib::Call::make_intra(alib::PixelOp::MorphGradient,
+                              alib::Neighborhood::con8()),
+       nullptr},
+      {alib::Call::make_inter(alib::PixelOp::AbsDiff), &b},
+      {alib::Call::make_segment(alib::PixelOp::Median,
+                                alib::Neighborhood::con8(), spec,
+                                ChannelMask::y(),
+                                ChannelMask::y().with(Channel::Alfa)),
+       nullptr}};
+  for (const auto& [call, second] : cases) {
+    SCOPED_TRACE(call.describe());
+    DualPlatformBackend dual;
+    dual.execute(call, a, second);
+    core::EngineBackend engine({}, core::EngineMode::Analytic);
+    EXPECT_EQ(dual.engine_board_seconds(),
+              engine.execute(call, a, second).stats.model_seconds);
+  }
 }
 
 TEST(DualPlatform, HighLevelPricedOnBothCpus) {

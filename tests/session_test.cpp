@@ -80,20 +80,6 @@ TEST(Session, SideOnlyReadbackElided) {
   EXPECT_EQ(session.stats().outputs_read_back, 1);
 }
 
-TEST(Session, OptionsDisableOptimizations) {
-  SessionOptions off;
-  off.reuse_resident_frames = false;
-  off.skip_side_only_readback = false;
-  EngineSession session({}, off);
-  const img::Image a = test::small_frame();
-  const alib::Call call = alib::Call::make_intra(
-      alib::PixelOp::MorphGradient, alib::Neighborhood::con8());
-  const u64 first = session.execute(call, a).stats.cycles;
-  const u64 second = session.execute(call, a).stats.cycles;
-  EXPECT_EQ(first, second);
-  EXPECT_EQ(session.stats().inputs_reused, 0);
-}
-
 TEST(Session, InvalidateForgetsResidency) {
   EngineSession session;
   const img::Image a = test::small_frame();
