@@ -38,45 +38,59 @@ img::Image warp_affine(const img::Image& src, const AffineMotion& m) {
 bool solve_affine_step(const std::array<i64, alib::kAffineAccumTerms>& sums,
                        std::array<double, 6>& delta) {
   if (sums[27] < 256) return false;  // too few inliers for six parameters
+  return detail::solve_normal_equations(sums.data(), 6, 6, 0.0, 1e-6,
+                                        delta.data());
+}
 
-  // Rebuild the symmetric matrix and RHS.
-  double a[6][6];
-  double b[6];
+namespace detail {
+
+template <class Sum>
+bool solve_normal_equations(const Sum* sums, std::size_t dim, std::size_t n,
+                            double ridge, double pivot_floor, double* x) {
+  // Rebuild the symmetric matrix and the right-hand side.
+  double a[8][8];
+  double b[8];
   std::size_t k = 0;
-  for (std::size_t i = 0; i < 6; ++i)
-    for (std::size_t j = i; j < 6; ++j) {
-      a[i][j] = static_cast<double>(sums[k]);
-      a[j][i] = a[i][j];
-      ++k;
-    }
-  for (std::size_t i = 0; i < 6; ++i)
-    b[i] = static_cast<double>(sums[21 + i]);
+  for (std::size_t i = 0; i < dim; ++i)
+    for (std::size_t j = i; j < dim; ++j, ++k)
+      if (i < n && j < n) {
+        a[i][j] = static_cast<double>(sums[k]);
+        a[j][i] = a[i][j];
+      }
+  for (std::size_t i = 0; i < n; ++i) b[i] = static_cast<double>(sums[k + i]);
+  for (std::size_t i = 0; i < n; ++i) a[i][i] *= 1.0 + ridge;
 
-  // Gaussian elimination with partial pivoting.
-  for (std::size_t col = 0; col < 6; ++col) {
+  for (std::size_t col = 0; col < n; ++col) {
     std::size_t pivot = col;
-    for (std::size_t row = col + 1; row < 6; ++row)
+    for (std::size_t row = col + 1; row < n; ++row)
       if (std::abs(a[row][col]) > std::abs(a[pivot][col])) pivot = row;
-    if (std::abs(a[pivot][col]) < 1e-6) return false;  // singular
+    if (std::abs(a[pivot][col]) < pivot_floor) return false;  // singular
     if (pivot != col) {
-      for (std::size_t j = 0; j < 6; ++j) std::swap(a[col][j], a[pivot][j]);
+      for (std::size_t j = 0; j < n; ++j) std::swap(a[col][j], a[pivot][j]);
       std::swap(b[col], b[pivot]);
     }
-    for (std::size_t row = col + 1; row < 6; ++row) {
+    for (std::size_t row = col + 1; row < n; ++row) {
       const double f = a[row][col] / a[col][col];
-      for (std::size_t j = col; j < 6; ++j) a[row][j] -= f * a[col][j];
+      for (std::size_t j = col; j < n; ++j) a[row][j] -= f * a[col][j];
       b[row] -= f * b[col];
     }
   }
-  for (std::size_t i = 6; i-- > 0;) {
+  for (std::size_t i = n; i-- > 0;) {
     double acc = b[i];
-    for (std::size_t j = i + 1; j < 6; ++j) acc -= a[i][j] * delta[j];
-    delta[i] = acc / a[i][i];
+    for (std::size_t j = i + 1; j < n; ++j) acc -= a[i][j] * x[j];
+    x[i] = acc / a[i][i];
   }
-  for (double& d : delta) d *= kSobelGain;
-  for (const double d : delta)
-    if (!std::isfinite(d)) return false;
+  for (std::size_t i = 0; i < n; ++i) x[i] *= kSobelGain;
+  for (std::size_t i = 0; i < n; ++i)
+    if (!std::isfinite(x[i])) return false;
   return true;
 }
+
+template bool solve_normal_equations(const i64*, std::size_t, std::size_t,
+                                     double, double, double*);
+template bool solve_normal_equations(const double*, std::size_t, std::size_t,
+                                     double, double, double*);
+
+}  // namespace detail
 
 }  // namespace ae::gme

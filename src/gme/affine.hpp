@@ -62,6 +62,18 @@ std::string to_string(const AffineMotion& m);
 /// Warps src by m: out(x, y) = src(m(x, y)), bilinear, border-replicated.
 img::Image warp_affine(const img::Image& src, const AffineMotion& m);
 
+namespace detail {
+/// The GME solvers' one Gaussian elimination with partial pivoting.  Solves
+/// the leading n x n block of the dim x dim (dim <= 8) normal equations
+/// packed in `sums` (upper triangle row-major, then the right-hand side),
+/// its diagonal scaled by 1 + `ridge`; x[0..n) receives the solution times
+/// the Sobel gain.  Returns false when a pivot falls below `pivot_floor` or
+/// a solved entry is not finite.  Instantiated for i64 and double sums.
+template <class Sum>
+bool solve_normal_equations(const Sum* sums, std::size_t dim, std::size_t n,
+                            double ridge, double pivot_floor, double* x);
+}  // namespace detail
+
 /// Solves the 6x6 normal equations accumulated by GmeAccumAffine.
 /// Returns false when the system is degenerate (too few inliers or
 /// ill-conditioned).  `delta` receives the parameter update, already

@@ -1,10 +1,12 @@
 // Global motion representation and warping for the MPEG-7-style Global
 // Motion Estimation experiment (paper section 4.3).
 //
-// The reproduction estimates translational global motion (the synthetic
-// test sequences are pan-dominated, as the paper's mosaicing material was);
-// see DESIGN.md for the substitution note versus the XM's higher-order
-// models.
+// The translational model lives here, with the bilinear sampler every warp
+// shares.  The Table 3 reproduction estimates translational motion (the
+// synthetic test sequences are pan-dominated, as the paper's mosaicing
+// material was); the XM's higher-order models are in gme/affine.hpp and
+// gme/perspective.hpp, and one estimator (gme/estimator.hpp) serves all
+// three.
 #pragma once
 
 #include <cmath>

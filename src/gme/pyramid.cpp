@@ -2,17 +2,21 @@
 
 namespace ae::gme {
 
+alib::Call binomial_smooth_call() {
+  alib::OpParams gauss;
+  gauss.coeffs = {1, 2, 1, 2, 4, 2, 1, 2, 1};
+  gauss.shift = 4;
+  return alib::Call::make_intra(alib::PixelOp::Convolve,
+                                alib::Neighborhood::con8(), ChannelMask::y(),
+                                ChannelMask::y(), gauss);
+}
+
 Pyramid build_pyramid(alib::Backend& backend, const img::Image& frame,
                       int levels, u64* high_level_instr) {
   AE_EXPECTS(levels >= 1, "pyramid needs at least one level");
   Pyramid pyr;
   pyr.levels.push_back(frame);
-  alib::OpParams gauss;
-  gauss.coeffs = {1, 2, 1, 2, 4, 2, 1, 2, 1};
-  gauss.shift = 4;
-  const alib::Call smooth = alib::Call::make_intra(
-      alib::PixelOp::Convolve, alib::Neighborhood::con8(), ChannelMask::y(),
-      ChannelMask::y(), gauss);
+  const alib::Call smooth = binomial_smooth_call();
   for (int l = 1; l < levels; ++l) {
     // Note: push_back below may reallocate, so take what we need by value.
     const i64 prev_pixels = pyr.levels.back().pixel_count();

@@ -19,6 +19,10 @@ struct Pyramid {
   }
 };
 
+/// The binomial 3x3 smoothing call (intra Convolve on Y) that precedes
+/// every decimation, and that the estimator's `smooth_levels` applies.
+alib::Call binomial_smooth_call();
+
 /// Builds a pyramid with `levels` levels.  Every smoothing pass is an
 /// AddressLib call through `backend`; `high_level_instr` (optional)
 /// receives the host-side decimation cost.

@@ -86,9 +86,7 @@ int ObjectTracker::feed(const img::Image& frame) {
     // content (cur(x + m) == prev(x)); the camera therefore moved by -m,
     // and scene = frame + camera cancels the shift (see gme/mosaic.cpp).
     camera_accum_ = camera_accum_ - motion.motion;
-    addresslib_calls_ +=
-        motion.iterations * 2 +
-        params_.gme.pyramid_levels * params_.gme.robust_passes;
+    addresslib_calls_ += motion.calls;
   }
   prev_pyramid_ = std::move(pyramid);
 

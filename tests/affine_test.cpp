@@ -6,7 +6,7 @@
 #include <cmath>
 
 #include "core/engine.hpp"
-#include "gme/affine_estimator.hpp"
+#include "gme/estimator.hpp"
 #include "image/compare.hpp"
 #include "image/sequence.hpp"
 #include "image/synth.hpp"
@@ -146,9 +146,9 @@ TEST(AffineEstimator, RecoversRotationTranslationalCannot) {
   const Pyramid cur = build_pyramid(be, seq.frame(1), 3);
 
   GmeEstimator trans(be);
-  AffineGmeEstimator affine(be);
+  GmeEstimator affine(be, {.smooth_levels = false});
   const GmeResult rt = trans.estimate(ref, cur);
-  const AffineGmeResult ra = affine.estimate(ref, cur);
+  const AffineGmeResult ra = affine.estimate<AffineMotion>(ref, cur);
 
   // Residual SAD under the affine model must clearly beat translational.
   EXPECT_LT(static_cast<double>(ra.final_sad),
@@ -166,8 +166,8 @@ TEST(AffineEstimator, RecoversZoom) {
   alib::SoftwareBackend be;
   const Pyramid ref = build_pyramid(be, seq.frame(0), 3);
   const Pyramid cur = build_pyramid(be, seq.frame(1), 3);
-  AffineGmeEstimator affine(be);
-  const AffineGmeResult ra = affine.estimate(ref, cur);
+  GmeEstimator affine(be, {.smooth_levels = false});
+  const AffineGmeResult ra = affine.estimate<AffineMotion>(ref, cur);
   // Scene zooms by ~1.01: the diagonal terms move together away from 1.
   EXPECT_NEAR(ra.motion.a1, ra.motion.a5, 0.004);
   EXPECT_GT(std::abs(ra.motion.a1 - 1.0), 0.002);
@@ -178,8 +178,8 @@ TEST(AffineEstimator, PureTranslationStaysTranslational) {
   alib::SoftwareBackend be;
   const Pyramid ref = build_pyramid(be, seq.frame(0), 3);
   const Pyramid cur = build_pyramid(be, seq.frame(1), 3);
-  AffineGmeEstimator affine(be);
-  const AffineGmeResult ra = affine.estimate(ref, cur);
+  GmeEstimator affine(be, {.smooth_levels = false});
+  const AffineGmeResult ra = affine.estimate<AffineMotion>(ref, cur);
   EXPECT_NEAR(ra.motion.a0, -0.5, 0.35);
   EXPECT_NEAR(ra.motion.a3, -0.2, 0.35);
   EXPECT_LT(ra.motion.linear_deviation(), 0.01);

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -311,6 +312,115 @@ TEST(Estimator, MismatchedPyramidsRejected) {
   const Pyramid deep = build_pyramid(be, img::make_test_frame({64, 64}, 1), 3);
   const Pyramid flat = build_pyramid(be, img::make_test_frame({64, 64}, 1), 2);
   EXPECT_THROW(est.estimate(deep, flat), InvalidArgument);
+}
+
+// Bit-exact pins of each motion model's estimate on one pair: a test frame
+// and its warp by a small perspective truth.  Every parameter, the
+// iteration count, SAD, convergence flag and host instruction count, and
+// the board time and call mix a DualPlatformBackend priced, at 1 and 3
+// levels.  Any change to the Gauss-Newton loop's arithmetic, exits or call
+// order moves one of them.
+struct GoldenRow {
+  int levels;
+  std::vector<double> motion;
+  int iterations;
+  u64 final_sad;
+  bool converged;
+  u64 high_level_instr;
+  double board_seconds;
+  i64 intra_calls;
+  i64 inter_calls;
+};
+
+std::vector<double> params_of(const Translation& t) { return {t.dx, t.dy}; }
+std::vector<double> params_of(const AffineMotion& m) {
+  return {m.a0, m.a1, m.a2, m.a3, m.a4, m.a5};
+}
+std::vector<double> params_of(const PerspectiveMotion& m) {
+  return {m.p.begin(), m.p.end()};
+}
+
+template <class Motion>
+void expect_golden(const std::vector<GoldenRow>& rows, bool smooth_levels,
+                   Motion initial = {}) {
+  PerspectiveMotion truth;
+  truth.p = {0.7, 1.0, 0.004, -0.45, -0.003, 1.0, 2e-5, -1.5e-5};
+  const img::Image cur_frame = img::make_test_frame(Size{192, 160}, 29);
+  const img::Image ref_frame = warp_perspective(cur_frame, truth);
+  for (const GoldenRow& want : rows) {
+    SCOPED_TRACE("levels " + std::to_string(want.levels));
+    alib::SoftwareBackend sw;
+    const Pyramid ref = build_pyramid(sw, ref_frame, want.levels);
+    const Pyramid cur = build_pyramid(sw, cur_frame, want.levels);
+    DualPlatformBackend be;
+    GmeEstimator est(be, {.pyramid_levels = want.levels,
+                          .smooth_levels = smooth_levels});
+    const GmeResultOf<Motion> r = est.estimate(ref, cur, initial);
+    EXPECT_EQ(params_of(r.motion), want.motion);
+    EXPECT_EQ(r.iterations, want.iterations);
+    EXPECT_EQ(r.final_sad, want.final_sad);
+    EXPECT_EQ(r.converged, want.converged);
+    EXPECT_EQ(est.high_level_instr(), want.high_level_instr);
+    EXPECT_EQ(be.engine_board_seconds(), want.board_seconds);
+    EXPECT_EQ(be.intra_calls(), want.intra_calls);
+    EXPECT_EQ(be.inter_calls(), want.inter_calls);
+    EXPECT_EQ(r.calls, be.intra_calls() + be.inter_calls());
+  }
+}
+
+TEST(EstimatorGolden, TranslationalSmoothed) {
+  expect_golden<Translation>(
+      {{1, {0x1.e21e17c868311p-1, -0x1.8e8c3dbc164b4p-1},
+        8, 60738u, false, 4916800u, 0x1.c8156992f379bp-4, 10, 8},
+       {3, {0x1.e20464f2b57a7p-1, -0x1.8e541cc33396fp-1},
+        33, 60795u, false, 9222600u, 0x1.4eb6f93976f31p-2, 39, 33}},
+      true);
+}
+
+TEST(EstimatorGolden, TranslationalRaw) {
+  expect_golden<Translation>(
+      {{1, {0x1.f21a2dc540bfdp-1, -0x1.93649df95f79p-1},
+        16, 104135u, false, 9833600u, 0x1.9a1f90435ae93p-3, 16, 16},
+       {3, {0x1.f0c24a2e6d021p-1, -0x1.9c96eb84ebddbp-1},
+        36, 105771u, false, 12218400u, 0x1.6731a727f113ep-2, 36, 36}},
+      false);
+}
+
+TEST(EstimatorGolden, TranslationalWarmStart) {
+  expect_golden<Translation>(
+      {{1, {0x1.e212b955cd68ep-1, -0x1.8e7e565abcfb7p-1},
+        8, 60736u, true, 4916800u, 0x1.c8156992f379bp-4, 10, 8},
+       {3, {0x1.e202f8b412a24p-1, -0x1.8e5594b59a0c3p-1},
+        32, 60795u, false, 9184000u, 0x1.47df417e2885bp-2, 38, 32}},
+      true, Translation{-0.5, 0.25});
+}
+
+TEST(EstimatorGolden, AffineRaw) {
+  expect_golden<AffineMotion>(
+      {{1,
+        {0x1.7ab1446cb4137p-1, 0x1.fec63815982d1p-1, 0x1.59bbdc65e9874p-8,
+         -0x1.837f343a7f85ep-2, -0x1.3805fd48a41f7p-8, 0x1.0028c5d3b39f6p+0},
+        16, 16948u, false, 12789120u, 0x1.9a1f90435ae93p-3, 16, 16},
+       {3,
+        {0x1.7e2aa6f1a08afp-1, 0x1.fec02933fe53ep-1, 0x1.58ee0e5d1714bp-8,
+         -0x1.31b99a65bc6a5p+0, 0x1.16cb7a069167fp-8, 0x1.0130daf6f17dap+0},
+        57, 181390u, false, 30435480u, 0x1.313547bfdfbfap-1, 57, 57}},
+      false);
+}
+
+TEST(EstimatorGolden, PerspectiveRaw) {
+  expect_golden<PerspectiveMotion>(
+      {{1,
+        {0x1.66003ecded787p-1, 0x1.0000c3790900fp+0, 0x1.067b8a42db881p-8,
+         -0x1.cd5f72728a55bp-2, -0x1.88e9d2c552d83p-9, 0x1.0000cd968247p+0,
+         0x1.5024cf7581229p-16, -0x1.f58f7a6f59964p-17},
+        18, 39u, false, 17716320u, 0x1.cd63824bc6466p-3, 18, 18},
+       {3,
+        {0x1.8e22dc17b7808p-1, 0x1.ff4e19381f608p-1, 0x1.d60d3d0119f55p-9,
+         -0x1.4d123eb3aa08ap-1, -0x1.133357cf455f6p-10, 0x1.000195d41c443p+0,
+         0x1.dc6614dee31bp-17, -0x1.39c32acff2e6dp-16},
+        57, 77667u, false, 38406960u, 0x1.3431ea2345f49p-1, 57, 57}},
+      false);
 }
 
 TEST(MosaicTest, SingleFrameRoundTrip) {

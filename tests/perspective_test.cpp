@@ -5,8 +5,7 @@
 #include <cmath>
 
 #include "core/engine.hpp"
-#include "gme/affine_estimator.hpp"
-#include "gme/perspective_estimator.hpp"
+#include "gme/estimator.hpp"
 #include "image/compare.hpp"
 #include "image/synth.hpp"
 #include "test_util.hpp"
@@ -159,8 +158,8 @@ TEST(PerspectiveEstimator, RecoversPerspectiveDistortion) {
   alib::SoftwareBackend be;
   const Pyramid ref = build_pyramid(be, pair.ref, 3);
   const Pyramid cur = build_pyramid(be, pair.cur, 3);
-  PerspectiveGmeEstimator est(be);
-  const PerspectiveGmeResult r = est.estimate(ref, cur);
+  GmeEstimator est(be, {.smooth_levels = false});
+  const PerspectiveGmeResult r = est.estimate<PerspectiveMotion>(ref, cur);
   EXPECT_NEAR(r.motion.p[0], truth.p[0], 0.3);
   EXPECT_NEAR(r.motion.p[3], truth.p[3], 0.3);
   EXPECT_NEAR(r.motion.p[6], truth.p[6], 2.5e-5);
@@ -174,10 +173,10 @@ TEST(PerspectiveEstimator, BeatsAffineUnderPerspective) {
   alib::SoftwareBackend be;
   const Pyramid ref = build_pyramid(be, pair.ref, 3);
   const Pyramid cur = build_pyramid(be, pair.cur, 3);
-  AffineGmeEstimator affine(be);
-  PerspectiveGmeEstimator persp(be);
-  const u64 affine_sad = affine.estimate(ref, cur).final_sad;
-  const u64 persp_sad = persp.estimate(ref, cur).final_sad;
+  GmeEstimator affine(be, {.smooth_levels = false});
+  GmeEstimator persp(be, {.smooth_levels = false});
+  const u64 affine_sad = affine.estimate<AffineMotion>(ref, cur).final_sad;
+  const u64 persp_sad = persp.estimate<PerspectiveMotion>(ref, cur).final_sad;
   EXPECT_LT(persp_sad, affine_sad);
 }
 

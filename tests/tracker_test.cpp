@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
-#include "segmentation/tracker.hpp"
 #include "image/synth.hpp"
+#include "profiling/profiler.hpp"
+#include "segmentation/tracker.hpp"
 
 namespace ae::seg {
 namespace {
@@ -128,6 +130,24 @@ TEST(Tracker, CountsAddressLibWork) {
   EXPECT_GT(one_frame, 3);
   tracker.feed(scene({34, 30}, {0, 0}));
   EXPECT_GT(tracker.addresslib_calls(), one_frame + 4);  // + GME calls
+
+  // The count is exact: it equals what a recorder around the backend sees,
+  // with and without the estimator's level smoothing, on one and two
+  // pyramid levels.
+  for (const bool smooth : {false, true})
+    for (const int levels : {1, 2}) {
+      SCOPED_TRACE(std::string(smooth ? "smoothed" : "raw") + " levels " +
+                   std::to_string(levels));
+      alib::SoftwareBackend sw;
+      prof::CallRecorder recorder(sw);
+      TrackerParams p = easy_params();
+      p.gme.smooth_levels = smooth;
+      p.gme.pyramid_levels = levels;
+      ObjectTracker counted(recorder, p);
+      for (int t = 0; t < 3; ++t)
+        counted.feed(scene({30 + 4 * t, 30}, {2 * t, 0}));
+      EXPECT_EQ(counted.addresslib_calls(), recorder.calls());
+    }
 }
 
 TEST(Tracker, ParamsValidated) {
