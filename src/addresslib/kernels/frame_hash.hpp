@@ -1,6 +1,6 @@
 // Frame content hash: the key a frame carries through the serving stack
-// (residency tables, the farm's affinity router, run_planned's pins, shard
-// snapshots).  core::frame_content_hash is the one public entry point; this
+// (residency tables, the farm's affinity router, plan-directed keep-set
+// pins, shard snapshots).  core::frame_content_hash is the one public entry point; this
 // header is its single definition, written once over simd.hpp's U64x2 ops.
 //
 // XXH3-style and vectorized.  Each pixel is read as its 64-bit word with

@@ -105,12 +105,6 @@ CallProgram apply_surgery(const CallProgram& src, const Surgery& s) {
   return out;
 }
 
-std::vector<std::size_t> identity_order(std::size_t n) {
-  std::vector<std::size_t> order(n);
-  for (std::size_t i = 0; i < n; ++i) order[i] = i;
-  return order;
-}
-
 // ---------------------------------------------------------------------------
 // Dominance proofs
 // ---------------------------------------------------------------------------
@@ -149,9 +143,9 @@ struct Candidate {
   bool permutation = false;      // residency tier applies (reorder)
 };
 
-bool prove_and_admit(const CallProgram& original, const ProgramPlan& plan_old,
-                     Candidate&& cand, const OptimizeOptions& options,
-                     RewriteRecord& record, CallProgram& out_program) {
+bool prove_and_admit(const ProgramPlan& plan_old, Candidate&& cand,
+                     const OptimizeOptions& options, RewriteRecord& record,
+                     CallProgram& out_program) {
   // Gate 1 — every emitted program re-passes aeverify.
   if (verify_program(cand.program, options.verify).has_errors()) return false;
 
@@ -380,8 +374,7 @@ OptimizeResult optimize_program(const CallProgram& program,
                           result.program.calls()[i].output) +
                       "'";
         CallProgram next;
-        if (prove_and_admit(result.program, plan,
-                            make_dead_elim(result.program, i), options,
+        if (prove_and_admit(plan, make_dead_elim(result.program, i), options,
                             record, next)) {
           result.program = std::move(next);
           accumulate(result.log, record);
@@ -420,9 +413,8 @@ OptimizeResult optimize_program(const CallProgram& program,
                           result.program.calls()[i].output) +
                       "' (" + why + ")";
         CallProgram next;
-        if (prove_and_admit(result.program, plan,
-                            make_range_drop(result.program, i), options,
-                            record, next)) {
+        if (prove_and_admit(plan, make_range_drop(result.program, i),
+                            options, record, next)) {
           // The dominance numbers come from whichever proof admitted the
           // drop (usually outright cycle dominance); the tier is stamped
           // `range` so the log separates savings that rest on a
@@ -455,9 +447,8 @@ OptimizeResult optimize_program(const CallProgram& program,
             alib::to_string(result.program.calls()[i + 1].call.op) +
             " onto call " + std::to_string(i);
         CallProgram next;
-        if (prove_and_admit(result.program, plan,
-                            make_fuse(result.program, i), options, record,
-                            next)) {
+        if (prove_and_admit(plan, make_fuse(result.program, i), options,
+                            record, next)) {
           result.program = std::move(next);
           accumulate(result.log, record);
           progress = true;
@@ -485,9 +476,8 @@ OptimizeResult optimize_program(const CallProgram& program,
                         " after call " + std::to_string(dest) +
                         " to recover bank residency";
           CallProgram next;
-          if (prove_and_admit(result.program, plan,
-                              make_reorder(result.program, j, dest), options,
-                              record, next)) {
+          if (prove_and_admit(plan, make_reorder(result.program, j, dest),
+                              options, record, next)) {
             result.program = std::move(next);
             accumulate(result.log, record);
             progress = true;
@@ -518,7 +508,7 @@ OptimizeResult optimize_program(const CallProgram& program,
               "adopted aealloc schedule hint (whole-order permutation)";
           const ProgramPlan plan = plan_program(result.program, options.plan);
           CallProgram next;
-          if (prove_and_admit(result.program, plan,
+          if (prove_and_admit(plan,
                               Candidate{apply_surgery(result.program, s),
                                         {},
                                         /*permutation=*/true},
@@ -590,9 +580,34 @@ std::string format_rewrite_log(const RewriteLog& log) {
 
 ProgramRunResult run_program(const CallProgram& program, alib::Backend& backend,
                              const std::vector<img::Image>& inputs) {
+  std::vector<i32> order(program.calls().size());
+  for (std::size_t c = 0; c < order.size(); ++c) order[c] = static_cast<i32>(c);
+  return run_program(
+      program, order, inputs,
+      [&backend](std::size_t, const ProgramCall& pc,
+                 const std::vector<const img::Image*>& values) {
+        const img::Image* b =
+            pc.input_b == kNoFrame
+                ? nullptr
+                : values[static_cast<std::size_t>(pc.input_b)];
+        return backend.execute(
+            pc.call, *values[static_cast<std::size_t>(pc.input_a)], b);
+      });
+}
+
+ProgramRunResult run_program(const CallProgram& program,
+                             const std::vector<i32>& order,
+                             const std::vector<img::Image>& inputs,
+                             const ProgramStep& step) {
   const auto& frames = program.frames();
-  std::vector<img::Image> values(frames.size());
-  std::vector<bool> have(frames.size(), false);
+  // A frame's value is either a caller input, referred to and never copied,
+  // or a result this run owns in `results`.  nullptr: not available yet.
+  std::vector<const img::Image*> values(frames.size(), nullptr);
+  std::vector<img::Image> results(frames.size());
+  const auto available = [&](i32 f) {
+    return program.valid_frame(f) &&
+           values[static_cast<std::size_t>(f)] != nullptr;
+  };
   std::size_t next_input = 0;
   for (std::size_t f = 0; f < frames.size(); ++f) {
     if (frames[f].producer != kNoFrame) continue;
@@ -601,38 +616,40 @@ ProgramRunResult run_program(const CallProgram& program, alib::Backend& backend,
     AE_EXPECTS(inputs[next_input].size() == frames[f].size,
                "run_program: input image size mismatch for frame '" +
                    program.frame_name(static_cast<i32>(f)) + "'");
-    values[f] = inputs[next_input++];
-    have[f] = true;
+    values[f] = &inputs[next_input++];
   }
   AE_EXPECTS(next_input == inputs.size(),
              "run_program: more input images than external frames");
 
   ProgramRunResult out;
-  for (const ProgramCall& pc : program.calls()) {
-    AE_EXPECTS(program.valid_frame(pc.input_a) &&
-                   have[static_cast<std::size_t>(pc.input_a)],
+  for (std::size_t p = 0; p < order.size(); ++p) {
+    AE_EXPECTS(order[p] >= 0 &&
+                   static_cast<std::size_t>(order[p]) < program.calls().size(),
+               "run_program: execution order names no call");
+    const ProgramCall& pc = program.calls()[static_cast<std::size_t>(order[p])];
+    AE_EXPECTS(available(pc.input_a),
                "run_program: call reads an unavailable frame");
-    const img::Image* b = nullptr;
-    if (pc.input_b != kNoFrame) {
-      AE_EXPECTS(program.valid_frame(pc.input_b) &&
-                     have[static_cast<std::size_t>(pc.input_b)],
-                 "run_program: call reads an unavailable second frame");
-      b = &values[static_cast<std::size_t>(pc.input_b)];
-    }
-    alib::CallResult r =
-        backend.execute(pc.call, values[static_cast<std::size_t>(pc.input_a)],
-                        b);
+    AE_EXPECTS(pc.input_b == kNoFrame || available(pc.input_b),
+               "run_program: call reads an unavailable second frame");
+    alib::CallResult r = step(p, pc, values);
     out.side.merge(r.side);
     out.stats.merge(r.stats);
     out.segments.insert(out.segments.end(), r.segments.begin(),
                         r.segments.end());
-    values[static_cast<std::size_t>(pc.output)] = std::move(r.output);
-    have[static_cast<std::size_t>(pc.output)] = true;
+    const auto o = static_cast<std::size_t>(pc.output);
+    results[o] = std::move(r.output);
+    values[o] = &results[o];
   }
-  for (const i32 f : program.outputs()) {
-    AE_EXPECTS(program.valid_frame(f) && have[static_cast<std::size_t>(f)],
+  const std::vector<i32>& declared = program.outputs();
+  for (auto it = declared.begin(); it != declared.end(); ++it) {
+    AE_EXPECTS(available(*it),
                "run_program: declared output was never produced");
-    out.outputs.push_back(values[static_cast<std::size_t>(f)]);
+    const auto f = static_cast<std::size_t>(*it);
+    if (values[f] == &results[f] &&
+        std::find(it + 1, declared.end(), *it) == declared.end())
+      out.outputs.push_back(std::move(results[f]));
+    else
+      out.outputs.push_back(*values[f]);
   }
   return out;
 }

@@ -45,6 +45,7 @@
 // already accepts.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -130,20 +131,40 @@ std::string rewrite_log_json(const RewriteLog& log);
 /// Human-readable log (one line per record plus a totals line).
 std::string format_rewrite_log(const RewriteLog& log);
 
-/// Reference sequential executor of a CallProgram on any backend: external
-/// frames are taken from `inputs` in frame-declaration order, intermediate
-/// results are held by frame id, and the declared outputs come back in
-/// outputs() order.  Side-port accumulators, stats, and segment records are
-/// merged across all calls — the observation set the optimizer's
-/// equivalence contract is stated over.
+/// Reference sequential executor of a CallProgram: external frames are taken
+/// from `inputs` in frame-declaration order (referenced, never copied),
+/// intermediate results are held by frame id, and the declared outputs come
+/// back in outputs() order (a result moves out on its last mention there;
+/// a caller input, or a result named again later, is copied).  Side-port
+/// accumulators, stats, and segment records are merged across all calls —
+/// the observation set the optimizer's equivalence contract is stated over.
 struct ProgramRunResult {
   std::vector<img::Image> outputs;
   alib::SideAccum side;
   alib::CallStats stats;
-  std::vector<alib::SegmentInfo> segments;  ///< concatenated in call order
+  /// Concatenated in execution order (call order unless the run was given
+  /// another order); consumers key segments by id, never by position.
+  std::vector<alib::SegmentInfo> segments;
 };
 
+/// Runs `program` in call order, each call through `backend.execute`.
 ProgramRunResult run_program(const CallProgram& program, alib::Backend& backend,
                              const std::vector<img::Image>& inputs);
+
+/// One call of a run: its position in the execution order, the call, and
+/// every frame's current value by id (nullptr: not yet available).  The
+/// runner has checked that the call's inputs are available.
+using ProgramStep = std::function<alib::CallResult(
+    std::size_t position, const ProgramCall& call,
+    const std::vector<const img::Image*>& values)>;
+
+/// Runs `program`'s calls in `order` (call indices; every call's inputs
+/// must be available when it runs), executing each through `step`.  Same
+/// input binding, checks and output collection as the form above, which is
+/// this one with program order and `backend.execute`.
+ProgramRunResult run_program(const CallProgram& program,
+                             const std::vector<i32>& order,
+                             const std::vector<img::Image>& inputs,
+                             const ProgramStep& step);
 
 }  // namespace ae::analysis

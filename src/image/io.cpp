@@ -14,6 +14,15 @@ namespace {
 
 constexpr std::array<char, 4> kAeiMagic{'A', 'E', 'I', '1'};
 
+/// Largest frame a file may declare (AEI and PGM alike), checked before
+/// anything is allocated.
+constexpr i64 kMaxFilePixels = i64{1} << 26;
+
+bool plausible_dimensions(i32 width, i32 height) {
+  return width >= 0 && height >= 0 &&
+         static_cast<i64>(width) * height <= kMaxFilePixels;
+}
+
 void put_u32(std::ostream& os, u32 v) {
   const std::array<char, 4> b{
       static_cast<char>(v & 0xFF), static_cast<char>((v >> 8) & 0xFF),
@@ -96,6 +105,8 @@ Image read_pgm(std::istream& is) {
   const i32 maxval = read_pnm_int(is);
   if (width <= 0 || height <= 0 || maxval != 255)
     throw IoError("unsupported PGM geometry/depth");
+  if (!plausible_dimensions(width, height))
+    throw IoError("implausible PGM dimensions");
   is.get();  // single separator byte after maxval
   Image out(width, height);
   for (i32 y = 0; y < height; ++y)
@@ -138,7 +149,7 @@ Image read_aei(std::istream& is) {
   const auto width = static_cast<i32>(get_u32(is));
   const auto height = static_cast<i32>(get_u32(is));
   (void)get_u32(is);  // reserved
-  if (width < 0 || height < 0 || static_cast<i64>(width) * height > (1 << 26))
+  if (!plausible_dimensions(width, height))
     throw IoError("implausible AEI dimensions");
   Image out(width, height);
   for (i32 y = 0; y < height; ++y)

@@ -60,13 +60,7 @@ double FarmStats::throughput_calls_per_s(
 EngineFarm::EngineFarm(FarmOptions options) : options_(std::move(options)) {
   validate_farm_options(options_);
   shards_.reserve(static_cast<std::size_t>(options_.shards));
-  for (int s = 0; s < options_.shards; ++s) {
-    core::ResilientOptions shard_options = options_.resilient;
-    if (static_cast<std::size_t>(s) < options_.shard_faults.size())
-      shard_options.plan = options_.shard_faults[static_cast<std::size_t>(s)];
-    shards_.push_back(
-        std::make_unique<Shard>(options_.config, shard_options));
-  }
+  for (int s = 0; s < options_.shards; ++s) shards_.push_back(make_shard(s));
   for (auto& shard : shards_) start_worker(*shard);
   scheduler_ = std::thread([this] { scheduler_loop(); });
 }
@@ -78,6 +72,12 @@ void EngineFarm::start_worker(Shard& shard) {
   // `shards_` (reallocating the slots) while this worker runs.
   Shard* p = &shard;
   shard.worker = std::thread([this, p] { worker_loop(*p); });
+}
+
+std::unique_ptr<EngineFarm::Shard> EngineFarm::make_shard(int shard) const {
+  core::ResilientOptions shard_options = options_.resilient;
+  shard_options.plan = configured_plan(shard);
+  return std::make_unique<Shard>(options_.config, shard_options);
 }
 
 std::string EngineFarm::name() const {
@@ -113,7 +113,48 @@ ProgramExecution EngineFarm::execute_program(
     alloc_options.plan.config = options_.config;
     out.residency = analysis::allocate_residency(*to_run, alloc_options);
     out.allocated = true;
-    out.run = run_planned(*to_run, out.residency, inputs);
+    int home = 0;
+    {
+      // lifecycle_mu_ makes the shards_ iteration safe against resize();
+      // released before any submission blocks on queue space.
+      sync::MutexLock lifecycle(lifecycle_mu_);
+      home = least_loaded_shard();
+    }
+    // One content key per frame value: inputs are hashed on first use,
+    // results take the key their call's session computed.  A result the
+    // session did not hash (simulated or fallback call) is hashed on first
+    // use too.
+    std::vector<u64> keys(to_run->frames().size(), 0);
+    out.run = analysis::run_program(
+        *to_run, out.residency.schedule, inputs,
+        [&](std::size_t position, const analysis::ProgramCall& pc,
+            const std::vector<const img::Image*>& values) {
+          const auto key = [&](i32 f) {
+            const auto i = static_cast<std::size_t>(f);
+            if (keys[i] == 0) keys[i] = core::frame_content_hash(*values[i]);
+            return keys[i];
+          };
+          const img::Image* b = nullptr;
+          core::FrameKeys call_keys{key(pc.input_a), 0};
+          if (pc.input_b != analysis::kNoFrame) {
+            b = values[static_cast<std::size_t>(pc.input_b)];
+            call_keys.b = key(pc.input_b);
+          }
+          // Each call pins the plan's keep set, as far as it exists yet.
+          std::vector<u64> pins;
+          for (const i32 kept : out.residency.assignments[position].keep)
+            if (to_run->valid_frame(kept) &&
+                values[static_cast<std::size_t>(kept)] != nullptr)
+              pins.push_back(key(kept));
+          u64 output_key = 0;
+          alib::CallResult r =
+              submit_request(pc.call,
+                             *values[static_cast<std::size_t>(pc.input_a)], b,
+                             call_keys, home, std::move(pins), &output_key)
+                  .get();
+          keys[static_cast<std::size_t>(pc.output)] = output_key;
+          return r;
+        });
     sync::MutexLock lock(mu_);
     ++planned_programs_;
     planned_words_saved_ += out.residency.words_saved;
@@ -123,114 +164,6 @@ ProgramExecution EngineFarm::execute_program(
   // sync submit, so routing, residency affinity and admission control all
   // apply exactly as for hand-submitted traffic.
   out.run = analysis::run_program(*to_run, *this, inputs);
-  return out;
-}
-
-int EngineFarm::pick_program_shard() {
-  // lifecycle_mu_ makes the shards_ iteration safe against resize(), same
-  // as stats(); released before any submission blocks on queue space.
-  sync::MutexLock lifecycle(lifecycle_mu_);
-  int best = 0;
-  u64 best_key[3] = {~0ull, ~0ull, ~0ull};
-  for (int s = 0; s < static_cast<int>(shards_.size()); ++s) {
-    Shard& shard = *shards_[static_cast<std::size_t>(s)];
-    sync::MutexLock lock(shard.mu);
-    const u64 key[3] = {
-        shard.breaker == core::BreakerState::Closed ? 0ull : 1ull,
-        shard.queue.size() + (shard.busy ? 1u : 0u), shard.clock_cycles};
-    if (std::lexicographical_compare(key, key + 3, best_key, best_key + 3)) {
-      std::copy(key, key + 3, best_key);
-      best = s;
-    }
-  }
-  return best;
-}
-
-analysis::ProgramRunResult EngineFarm::run_planned(
-    const analysis::CallProgram& program, const analysis::ResidencyPlan& plan,
-    const std::vector<img::Image>& inputs) {
-  // Same contract as analysis::run_program — external frames from `inputs`
-  // in declaration order, outputs in outputs() order — but calls execute in
-  // the plan's schedule (dependence-preserving by construction) and each
-  // call pins its keep set.  Segment records therefore concatenate in
-  // SCHEDULE order; consumers key them by id, never by arrival position.
-  const auto& frames = program.frames();
-  // A frame's value is either a caller input, referred to and never copied,
-  // or a result this run owns in `results`.  nullptr: not available yet.
-  std::vector<const img::Image*> values(frames.size(), nullptr);
-  std::vector<img::Image> results(frames.size());
-  // One content key per frame value: inputs are hashed when bound, results
-  // take the key their call's session computed.  A result the session did
-  // not hash (simulated or fallback call) is hashed on first use.
-  std::vector<u64> keys(frames.size(), 0);
-  const auto available = [&](i32 f) {
-    return program.valid_frame(f) &&
-           values[static_cast<std::size_t>(f)] != nullptr;
-  };
-  const auto key = [&](i32 f) {
-    const auto i = static_cast<std::size_t>(f);
-    if (keys[i] == 0) keys[i] = core::frame_content_hash(*values[i]);
-    return keys[i];
-  };
-  std::size_t next_input = 0;
-  for (std::size_t f = 0; f < frames.size(); ++f) {
-    if (frames[f].producer != analysis::kNoFrame) continue;
-    AE_EXPECTS(next_input < inputs.size(),
-               "execute_program: fewer input images than external frames");
-    AE_EXPECTS(inputs[next_input].size() == frames[f].size,
-               "execute_program: input image size mismatch for frame '" +
-                   program.frame_name(static_cast<i32>(f)) + "'");
-    values[f] = &inputs[next_input++];
-    keys[f] = core::frame_content_hash(*values[f]);
-  }
-  AE_EXPECTS(next_input == inputs.size(),
-             "execute_program: more input images than external frames");
-
-  const int home = pick_program_shard();
-  analysis::ProgramRunResult out;
-  for (std::size_t p = 0; p < plan.schedule.size(); ++p) {
-    const analysis::ProgramCall& pc =
-        program.calls()[static_cast<std::size_t>(plan.schedule[p])];
-    AE_EXPECTS(available(pc.input_a),
-               "execute_program: call reads an unavailable frame");
-    const img::Image* b = nullptr;
-    core::FrameKeys call_keys{key(pc.input_a), 0};
-    if (pc.input_b != analysis::kNoFrame) {
-      AE_EXPECTS(available(pc.input_b),
-                 "execute_program: call reads an unavailable second frame");
-      b = values[static_cast<std::size_t>(pc.input_b)];
-      call_keys.b = key(pc.input_b);
-    }
-    std::vector<u64> pins;
-    for (const i32 kept : plan.assignments[p].keep)
-      if (available(kept)) pins.push_back(key(kept));
-    u64 output_key = 0;
-    alib::CallResult r =
-        submit_request(pc.call, *values[static_cast<std::size_t>(pc.input_a)],
-                       b, call_keys, home, std::move(pins), &output_key)
-            .get();
-    out.side.merge(r.side);
-    out.stats.merge(r.stats);
-    out.segments.insert(out.segments.end(), r.segments.begin(),
-                        r.segments.end());
-    const auto o = static_cast<std::size_t>(pc.output);
-    results[o] = std::move(r.output);
-    values[o] = &results[o];
-    keys[o] = output_key;
-  }
-  // Results move out on their last mention in outputs(); a caller input,
-  // or a result named again later, is copied.
-  const std::vector<i32>& declared = program.outputs();
-  for (auto it = declared.begin(); it != declared.end(); ++it) {
-    AE_EXPECTS(available(*it),
-               "execute_program: declared output was never produced");
-    const auto f = static_cast<std::size_t>(*it);
-    if (values[f] == &results[f] &&
-        std::find(it + 1, declared.end(), *it) == declared.end())
-      out.outputs.push_back(std::move(results[f]));
-    else
-      out.outputs.push_back(*values[f]);
-  }
   return out;
 }
 
@@ -344,6 +277,10 @@ int EngineFarm::route(const Request& request, bool& affinity_hit) {
     }
     break;
   }
+  return least_loaded_shard();
+}
+
+int EngineFarm::least_loaded_shard() {
   // Least-loaded healthy shard; modeled shard clock breaks backlog ties so
   // work spreads even when every queue is empty.  An open breaker only
   // wins when every shard is broken (the farm still answers, via each
@@ -591,6 +528,8 @@ void EngineFarm::set_scheduler_trace(core::EngineTrace* trace) {
 // --- Elastic control -------------------------------------------------------
 
 EngineFarm::SchedulerPause::SchedulerPause(EngineFarm& farm) : farm_(farm) {
+  // Checked before parking: a shut-down farm's scheduler never parks again.
+  AE_EXPECTS(!farm.joined_, "elastic operation on a farm that is shut down");
   sync::MutexLock lock(farm_.mu_);
   AE_ASSERT(!farm_.paused_, "scheduler already paused");
   farm_.paused_ = true;
@@ -605,14 +544,28 @@ EngineFarm::SchedulerPause::~SchedulerPause() {
   farm_.sched_cv_.notify_all();
 }
 
-void EngineFarm::wait_shard_idle(Shard& shard) {
-  while (shard.busy) shard.cv.wait(shard.mu);
+EngineFarm::QuiescedShard::QuiescedShard(EngineFarm& farm, Shard& shard)
+    : farm_(farm), shard_(shard) {
+  shard.mu.lock();
+  farm.wait_shard_idle(shard);
+  backlog_ = std::move(shard.queue);
+  shard.queue.clear();
 }
 
-std::deque<EngineFarm::Request> EngineFarm::steal_backlog(Shard& shard) {
-  std::deque<Request> backlog = std::move(shard.queue);
-  shard.queue.clear();
-  return backlog;
+EngineFarm::QuiescedShard::~QuiescedShard() {
+  shard_.mu.unlock();
+  farm_.requeue_front(std::move(backlog_));
+}
+
+EngineFarm::Shard& EngineFarm::shard_at(int shard_index) {
+  AE_EXPECTS(shard_index >= 0 &&
+                 shard_index < static_cast<int>(shards_.size()),
+             "shard index out of range");
+  return *shards_[static_cast<std::size_t>(shard_index)];
+}
+
+void EngineFarm::wait_shard_idle(Shard& shard) {
+  while (shard.busy) shard.cv.wait(shard.mu);
 }
 
 void EngineFarm::requeue_front(std::deque<Request> backlog) {
@@ -732,18 +685,11 @@ void EngineFarm::install_snapshot(Shard& shard, const ShardSnapshot& snapshot,
 
 std::vector<u8> EngineFarm::snapshot_shard(int shard_index) {
   sync::MutexLock lifecycle(lifecycle_mu_);
-  AE_EXPECTS(!joined_, "elastic operation on a farm that is shut down");
-  AE_EXPECTS(shard_index >= 0 &&
-                 shard_index < static_cast<int>(shards_.size()),
-             "shard index out of range");
   SchedulerPause pause(*this);
-  Shard& shard = *shards_[static_cast<std::size_t>(shard_index)];
-  std::deque<Request> backlog;
+  Shard& shard = shard_at(shard_index);
   std::vector<u8> blob;
   {
-    sync::MutexLock lock(shard.mu);
-    wait_shard_idle(shard);
-    backlog = steal_backlog(shard);
+    QuiescedShard quiesced(*this, shard);
     ShardSnapshot snapshot;
     snapshot.shard_index = shard_index;
     snapshot.clock_cycles = shard.clock_cycles;
@@ -758,12 +704,12 @@ std::vector<u8> EngineFarm::snapshot_shard(int shard_index) {
     snapshot.frames.reserve(shard.resident.size());
     for (const auto& [hash, content] : shard.resident)
       if (carried.holds(hash)) snapshot.frames.push_back({hash, content});
-    snapshot.queued.reserve(backlog.size());
-    for (const Request& r : backlog) snapshot.queued.push_back(r.call);
+    snapshot.queued.reserve(quiesced.backlog().size());
+    for (const Request& r : quiesced.backlog())
+      snapshot.queued.push_back(r.call);
     blob = serialize_snapshot(snapshot, &shard.session.injector());
     shard.last_snapshot = blob;
   }
-  requeue_front(std::move(backlog));
   {
     sync::MutexLock lock(mu_);
     ++snapshots_taken_;
@@ -776,32 +722,19 @@ std::vector<u8> EngineFarm::snapshot_shard(int shard_index) {
 
 void EngineFarm::restore_shard(int shard_index, const std::vector<u8>& blob) {
   sync::MutexLock lifecycle(lifecycle_mu_);
-  AE_EXPECTS(!joined_, "elastic operation on a farm that is shut down");
-  AE_EXPECTS(shard_index >= 0 &&
-                 shard_index < static_cast<int>(shards_.size()),
-             "shard index out of range");
   SchedulerPause pause(*this);
-  Shard& shard = *shards_[static_cast<std::size_t>(shard_index)];
-  std::deque<Request> backlog;
-  std::exception_ptr error;
+  Shard& shard = shard_at(shard_index);
   {
-    sync::MutexLock lock(shard.mu);
-    wait_shard_idle(shard);
-    backlog = steal_backlog(shard);
+    // A blob rejected for any reason leaves the shard serving with its
+    // previous state, and the quiesce returns its backlog regardless.
+    QuiescedShard quiesced(*this, shard);
     try {
-      const ShardSnapshot snapshot = parse_snapshot(blob);
-      install_snapshot(shard, snapshot, /*with_breaker=*/true);
+      install_snapshot(shard, parse_snapshot(blob), /*with_breaker=*/true);
     } catch (const SnapshotCorruption&) {
       shard.session.injector().note_snapshot_mismatch();
-      error = std::current_exception();
-    } catch (const SnapshotVersionMismatch&) {
-      error = std::current_exception();
+      throw;
     }
   }
-  // The backlog goes back even when the blob was bad — rejecting a rotten
-  // snapshot must not drop accepted work.
-  requeue_front(std::move(backlog));
-  if (error) std::rethrow_exception(error);
   {
     sync::MutexLock lock(mu_);
     ++restores_;
@@ -813,17 +746,10 @@ void EngineFarm::restore_shard(int shard_index, const std::vector<u8>& blob) {
 
 void EngineFarm::kill_shard(int shard_index) {
   sync::MutexLock lifecycle(lifecycle_mu_);
-  AE_EXPECTS(!joined_, "elastic operation on a farm that is shut down");
-  AE_EXPECTS(shard_index >= 0 &&
-                 shard_index < static_cast<int>(shards_.size()),
-             "shard index out of range");
   SchedulerPause pause(*this);
-  Shard& shard = *shards_[static_cast<std::size_t>(shard_index)];
-  std::deque<Request> backlog;
+  Shard& shard = shard_at(shard_index);
   {
-    sync::MutexLock lock(shard.mu);
-    wait_shard_idle(shard);
-    backlog = steal_backlog(shard);
+    QuiescedShard quiesced(*this, shard);
     // Power loss: every frame on the board is gone, and the driver stops
     // trusting the slot — the breaker opens hard (as if the failure window
     // just filled) so service continues from software fallback until
@@ -835,24 +761,16 @@ void EngineFarm::kill_shard(int shard_index) {
     shard.breaker = shard.session.breaker();
     shard.prev_on_engine = false;
   }
-  requeue_front(std::move(backlog));
   record_elastic_event(core::TraceEvent::ShardKilled, shard_index);
 }
 
 bool EngineFarm::recover_shard(int shard_index) {
   sync::MutexLock lifecycle(lifecycle_mu_);
-  AE_EXPECTS(!joined_, "elastic operation on a farm that is shut down");
-  AE_EXPECTS(shard_index >= 0 &&
-                 shard_index < static_cast<int>(shards_.size()),
-             "shard index out of range");
   SchedulerPause pause(*this);
-  Shard& shard = *shards_[static_cast<std::size_t>(shard_index)];
-  std::deque<Request> backlog;
+  Shard& shard = shard_at(shard_index);
   bool warm = false;
   {
-    sync::MutexLock lock(shard.mu);
-    wait_shard_idle(shard);
-    backlog = steal_backlog(shard);
+    QuiescedShard quiesced(*this, shard);
     // Board swap: a healthy replacement with a clean in-call transport.
     // Host-side hazards survive the swap — snapshots can still rot at
     // rest and the restore stream itself crosses the same PCI bus — so
@@ -866,10 +784,10 @@ bool EngineFarm::recover_shard(int shard_index) {
     shard.resident.clear();
     if (!shard.last_snapshot.empty()) {
       try {
-        const ShardSnapshot snapshot = parse_snapshot(shard.last_snapshot);
         // Warm restore: residency and frames come back; the breaker does
         // NOT — the replacement board's health history starts clean.
-        install_snapshot(shard, snapshot, /*with_breaker=*/false);
+        install_snapshot(shard, parse_snapshot(shard.last_snapshot),
+                         /*with_breaker=*/false);
         warm = true;
       } catch (const SnapshotCorruption&) {
         shard.session.injector().note_snapshot_mismatch();
@@ -879,7 +797,6 @@ bool EngineFarm::recover_shard(int shard_index) {
     shard.breaker = shard.session.breaker();
     shard.prev_on_engine = false;
   }
-  requeue_front(std::move(backlog));
   {
     sync::MutexLock lock(mu_);
     if (warm) {
@@ -933,30 +850,21 @@ int EngineFarm::install_migrated(Shard& to, int to_index,
 void EngineFarm::resize(int new_count) {
   AE_EXPECTS(new_count > 0, "farm needs at least one shard");
   sync::MutexLock lifecycle(lifecycle_mu_);
-  AE_EXPECTS(!joined_, "elastic operation on a farm that is shut down");
   SchedulerPause pause(*this);
   const int old_count = static_cast<int>(shards_.size());
   if (new_count == old_count) return;
   if (new_count > old_count) {
     shards_.reserve(static_cast<std::size_t>(new_count));
     for (int s = old_count; s < new_count; ++s) {
-      core::ResilientOptions shard_options = options_.resilient;
-      if (static_cast<std::size_t>(s) < options_.shard_faults.size())
-        shard_options.plan =
-            options_.shard_faults[static_cast<std::size_t>(s)];
-      shards_.push_back(
-          std::make_unique<Shard>(options_.config, shard_options));
+      shards_.push_back(make_shard(s));
       start_worker(*shards_.back());
     }
   } else {
     for (int s = old_count - 1; s >= new_count; --s) {
       Shard& dying = *shards_[static_cast<std::size_t>(s)];
-      std::deque<Request> backlog;
       std::vector<ResidentFrame> frames;
       {
-        sync::MutexLock lock(dying.mu);
-        wait_shard_idle(dying);
-        backlog = steal_backlog(dying);
+        QuiescedShard quiesced(*this, dying);
         dying.stopping = true;
         for (auto& [hash, content] : dying.resident)
           frames.push_back({hash, std::move(content)});
@@ -964,7 +872,6 @@ void EngineFarm::resize(int new_count) {
       }
       dying.cv.notify_all();
       dying.worker.join();  // queue is empty: the worker exits immediately
-      requeue_front(std::move(backlog));
       // The dying board's frames move to a surviving shard (deterministic
       // target), priced like any migration; what doesn't fit goes cold.
       install_migrated(*shards_[static_cast<std::size_t>(s % new_count)],
@@ -982,7 +889,6 @@ void EngineFarm::resize(int new_count) {
 
 int EngineFarm::rebalance() {
   sync::MutexLock lifecycle(lifecycle_mu_);
-  AE_EXPECTS(!joined_, "elastic operation on a farm that is shut down");
   SchedulerPause pause(*this);
   // Rebalancing considers the whole farm, so it waits for every shard to
   // drain fully (no queued work, between calls).  The scheduler is parked

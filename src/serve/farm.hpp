@@ -41,11 +41,11 @@
 // machine — running -> draining (scheduler parked, shard quiesced) ->
 // snapshotted/mutated -> restoring -> running — and *provably drops no
 // accepted work*: queued-but-unstarted requests are moved back to the
-// front of the farm queue before the shard is touched, in-flight calls
-// finish first (their promises must resolve), and the in_flight_ counter
-// that drain() trusts never decrements for a requeued request.  Restores
-// and migrations are priced onto the receiving shard's clock as bulk PCI
-// bursts so the makespan stays honest about recovery.
+// front of the farm queue when the operation ends, by any exit; in-flight
+// calls finish first (their promises must resolve); and the in_flight_
+// counter that drain() trusts never decrements for a requeued request.
+// Restores and migrations are priced onto the receiving shard's clock as
+// bulk PCI bursts so the makespan stays honest about recovery.
 #pragma once
 
 #include <condition_variable>
@@ -254,7 +254,8 @@ class EngineFarm : public alib::Backend {
   // their own locks before touching per-shard state, so in-flight calls
   // never observe a half-mutated farm.  Accepted work is never dropped:
   // a quiesced shard's queued-but-unstarted requests move back to the
-  // front of the farm queue and are re-routed when the scheduler resumes.
+  // front of the farm queue and are re-routed when the scheduler resumes,
+  // also when the operation throws.
 
   /// Drains shard `shard` to a call boundary and serializes its state —
   /// residency tables with frame content, breaker/backoff machine, modeled
@@ -371,14 +372,11 @@ class EngineFarm : public alib::Backend {
       const alib::Call& call, const img::Image& a, const img::Image* b,
       core::FrameKeys keys, int forced_shard, std::vector<u64> pin_hashes,
       u64* output_key);
-  /// Home shard for a plan-directed program: least-loaded healthy shard
-  /// (same key as the load-balancing route), chosen once per program.
-  int pick_program_shard();
-  /// Executes `program` in `plan`'s schedule order on one shard, pinning
-  /// each call's keep set.  Mirrors analysis::run_program's contract.
-  analysis::ProgramRunResult run_planned(const analysis::CallProgram& program,
-                                         const analysis::ResidencyPlan& plan,
-                                         const std::vector<img::Image>& inputs);
+  /// The least-loaded shard: a closed breaker first, then the shortest
+  /// backlog, then the earliest modeled clock.  route()'s load-balancing
+  /// pick and a plan-directed program's home shard (execute_program).  The
+  /// caller keeps `shards_` stable (scheduler thread, or lifecycle_mu_).
+  int least_loaded_shard();
   /// Picks the shard for a request; sets `affinity_hit` when the choice
   /// came from frame residency rather than load balancing.
   int route(const Request& request, bool& affinity_hit);
@@ -387,12 +385,13 @@ class EngineFarm : public alib::Backend {
   /// Parks the batching scheduler for the guard's lifetime: sets `paused_`
   /// and blocks until the scheduler thread is provably inside its wait
   /// loop, after which shards_, affinity_ and the pending queue may be
-  /// mutated from the owning thread.  Constructed only with lifecycle_mu_
-  /// held (one elastic operation at a time); the destructor resumes
-  /// scheduling, including on exception paths.
+  /// mutated from the owning thread.  Every elastic operation opens with
+  /// lifecycle_mu_ held and this guard, which first refuses a farm that is
+  /// shut down; the destructor resumes scheduling, including on exception
+  /// paths.
   class SchedulerPause {
    public:
-    explicit SchedulerPause(EngineFarm& farm);
+    explicit SchedulerPause(EngineFarm& farm) AE_REQUIRES(farm.lifecycle_mu_);
     ~SchedulerPause();
     SchedulerPause(const SchedulerPause&) = delete;
     SchedulerPause& operator=(const SchedulerPause&) = delete;
@@ -401,18 +400,44 @@ class EngineFarm : public alib::Backend {
     EngineFarm& farm_;
   };
 
+  /// The one way an elastic operation takes hold of a shard (snapshot,
+  /// restore, kill, recover, and resize()'s shrink loop).  Constructed with
+  /// lifecycle_mu_ held and the scheduler parked: it takes shard.mu, waits
+  /// for the worker to finish its current call and steals the queued
+  /// backlog.  The destructor releases shard.mu and only then returns the
+  /// backlog to the front of the farm queue — on every exit, a throw
+  /// included, so a failed operation drops no accepted work and mu_ is
+  /// never taken under a shard lock.
+  class AE_SCOPED_CAPABILITY QuiescedShard {
+   public:
+    QuiescedShard(EngineFarm& farm, Shard& shard) AE_ACQUIRE(shard.mu);
+    ~QuiescedShard() AE_RELEASE();
+    QuiescedShard(const QuiescedShard&) = delete;
+    QuiescedShard& operator=(const QuiescedShard&) = delete;
+
+    /// The stolen requests, oldest first.
+    const std::deque<Request>& backlog() const { return backlog_; }
+
+   private:
+    EngineFarm& farm_;
+    Shard& shard_;
+    std::deque<Request> backlog_;
+  };
+
+  /// Shard `shard_index`, after checking the index is in range.
+  Shard& shard_at(int shard_index);
   /// Launches the shard's worker thread.  Captures the shard by raw
   /// pointer (the heap object, not the vector slot) so resize() growing
   /// `shards_` cannot dangle a running worker's reference.
   void start_worker(Shard& shard);
+  /// Builds shard `shard` with the farm's driver options and
+  /// configured_plan(shard); the constructor and resize() growth both use it.
+  std::unique_ptr<Shard> make_shard(int shard) const;
   /// Blocks (under shard.mu) until the worker is between calls.
   void wait_shard_idle(Shard& shard) AE_REQUIRES(shard.mu);
-  /// Takes the shard's queued-but-unstarted requests.  They remain
-  /// accepted — in_flight_ still counts them — until requeue_front()
-  /// returns them to the farm queue.
-  std::deque<Request> steal_backlog(Shard& shard) AE_REQUIRES(shard.mu);
   /// Returns stolen requests to the *front* of the farm queue, preserving
-  /// their order ahead of newer submissions.
+  /// their order ahead of newer submissions.  Until then they remain
+  /// accepted: in_flight_ still counts them.
   void requeue_front(std::deque<Request> backlog);
   /// The fault plan shard `shard` was configured with.
   const core::FaultPlan& configured_plan(int shard) const;

@@ -77,9 +77,13 @@ class Reader {
   /// more than the remaining payload is malformed, not an allocation.
   u32 count(std::size_t min_bytes_each) {
     const u32 n = u32v();
-    if (min_bytes_each > 0 && n > (size_ - pos_) / min_bytes_each)
+    if (min_bytes_each > 0 && !fits(n, min_bytes_each))
       fail("element count exceeds remaining payload");
     return n;
+  }
+  /// Whether `n` elements of `bytes_each` bytes fit in what is left.
+  bool fits(u64 n, std::size_t bytes_each) const {
+    return n <= (size_ - pos_) / bytes_each;
   }
   bool done() const { return pos_ == size_; }
 
@@ -109,6 +113,9 @@ img::Image read_image(Reader& r) {
   const i32 height = r.i32v();
   if (width < 0 || height < 0) fail("negative frame dimensions");
   const u64 area = static_cast<u64>(width) * static_cast<u64>(height);
+  // Checked before allocating: forged dimensions under a valid checksum
+  // must not reach the allocator.
+  if (!r.fits(area, 8)) fail("frame dimensions exceed remaining payload");
   img::Image image(width, height);
   for (u64 i = 0; i < area; ++i) {
     const u32 lower = r.u32v();

@@ -8,9 +8,13 @@
 // serial software reference — is tier2 (suite name contains "Chaos").
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdlib>
 #include <deque>
 #include <future>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "addresslib/functional.hpp"
@@ -37,6 +41,44 @@ void expect_shard_identity(const FarmStats& stats) {
   for (const serve::ShardStats& s : stats.shards)
     EXPECT_EQ(s.busy_cycles + s.overlap_cycles_saved,
               s.resilient.cycles + s.elastic_cycles);
+}
+
+// A serialized one-frame snapshot whose frame declares `width` x `height`
+// while carrying the original 24x18 payload, re-checksummed so the parser
+// gets past the CRC: the forged dimensions are all that is wrong with it.
+std::vector<u8> forged_dimension_blob(i32 width, i32 height) {
+  ShardSnapshot snapshot;
+  const img::Image frame = img::make_test_frame(Size{24, 18}, 5);
+  snapshot.frames.push_back({core::frame_content_hash(frame), frame});
+  std::vector<u8> blob = serve::serialize_snapshot(snapshot);
+  // Header (16) + shard index, clock, breaker (21) + residency (50) +
+  // frame count (4) + frame key (8): the frame's width, then its height.
+  const std::size_t dims = 16 + 21 + 50 + 4 + 8;
+  const auto put = [&](std::size_t at, u32 v) {
+    for (std::size_t i = 0; i < 4; ++i)
+      blob[at + i] = static_cast<u8>(v >> (8 * i));
+  };
+  const auto get = [&](std::size_t at) {
+    u32 v = 0;
+    for (std::size_t i = 0; i < 4; ++i)
+      v |= static_cast<u32>(blob[at + i]) << (8 * i);
+    return v;
+  };
+  EXPECT_EQ(get(dims), 24u);
+  EXPECT_EQ(get(dims + 4), 18u);
+  put(dims, static_cast<u32>(width));
+  put(dims + 4, static_cast<u32>(height));
+  // The payload CRC: little-endian words, the tail zero-padded.
+  const std::size_t payload_end = blob.size() - 4;
+  core::Crc32 crc;
+  for (std::size_t i = 16; i < payload_end; i += 4) {
+    u32 word = 0;
+    for (std::size_t b = 0; b < 4 && i + b < payload_end; ++b)
+      word |= static_cast<u32>(blob[i + b]) << (8 * b);
+    crc.add(word);
+  }
+  put(payload_end, crc.value());
+  return blob;
 }
 
 ShardSnapshot sample_snapshot(Rng& rng) {
@@ -185,6 +227,27 @@ TEST(SnapshotFormatTest, ForgedFrameKeyIsCorruption) {
   std::vector<u8> v1 = serve::serialize_snapshot(sample_snapshot(rng));
   v1[4] = 1;
   EXPECT_THROW(serve::parse_snapshot(v1), serve::SnapshotVersionMismatch);
+}
+
+// Frame dimensions are checked against the remaining payload before the
+// frame is allocated, so forged dimensions under a valid checksum are
+// corruption, never an allocator failure or a large allocation.
+TEST(SnapshotFormatTest, ForgedFrameDimensionsAreCorruption) {
+  // The unforged blob parses: the re-checksumming below is faithful.
+  EXPECT_EQ(serve::parse_snapshot(forged_dimension_blob(24, 18)).frames.size(),
+            1u);
+  const i32 int_max = std::numeric_limits<i32>::max();
+  for (const auto& [width, height] :
+       {std::pair{int_max, int_max}, std::pair{4000, 4000}}) {
+    try {
+      serve::parse_snapshot(forged_dimension_blob(width, height));
+      FAIL() << width << "x" << height << " frame was accepted";
+    } catch (const serve::SnapshotCorruption& e) {
+      EXPECT_NE(std::string(e.what()).find("frame dimensions"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(SnapshotFormatTest, InjectorRotIsCountedAndDetected) {
@@ -368,6 +431,47 @@ TEST(ElasticFarmTest, RestoreRejectsRottenBlobAndKeepsServing) {
   EXPECT_EQ(stats.restores, 0);
   EXPECT_EQ(stats.shards[0].resilient.detections.snapshot_checksum_mismatches,
             1u);
+}
+
+// A restore that fails — here on a hostile blob with a valid checksum —
+// still returns the quiesced shard's backlog to the farm queue: every
+// accepted call completes bit-exactly, drain() returns, and the shard keeps
+// serving.
+TEST(ElasticFarmTest, RestoreOfHostileBlobDropsNoAcceptedWork) {
+  FarmOptions options;
+  options.shards = 1;
+  EngineFarm farm(options);
+  // QCIF frames: each call runs long enough that most of the 64 are still
+  // queued on the shard when the restore quiesces it.
+  const img::Image a = img::make_test_frame(Size{176, 144}, 13);
+  const img::Image b = img::make_test_frame(Size{176, 144}, 14);
+  const Call call = Call::make_inter(PixelOp::AbsDiff);
+  const alib::CallResult ref = alib::execute_functional(call, a, &b);
+
+  std::vector<std::future<alib::CallResult>> futures;
+  for (int i = 0; i < 64; ++i) futures.push_back(farm.submit(call, a, &b));
+  const i32 int_max = std::numeric_limits<i32>::max();
+  EXPECT_THROW(farm.restore_shard(0, forged_dimension_blob(int_max, int_max)),
+               serve::SnapshotCorruption);
+
+  // Watchdog first: a dropped request would leave drain() (and the farm's
+  // destructor) waiting forever, so a hang fails the binary instead.
+  auto drained = std::async(std::launch::async, [&farm] { farm.drain(); });
+  if (drained.wait_for(std::chrono::seconds(60)) !=
+      std::future_status::ready) {
+    ADD_FAILURE() << "drain() did not return: accepted work was dropped";
+    std::abort();
+  }
+  for (auto& f : futures) test::expect_results_equal(ref, f.get());
+  test::expect_results_equal(ref, farm.execute(call, a, &b));
+
+  const FarmStats stats = farm.stats();
+  EXPECT_EQ(stats.submitted, 65);
+  EXPECT_EQ(stats.completed, 65);
+  EXPECT_EQ(stats.restores, 0);
+  EXPECT_EQ(stats.shards[0].resilient.detections.snapshot_checksum_mismatches,
+            1u);
+  expect_shard_identity(stats);
 }
 
 TEST(ElasticFarmTest, RestoreTimeTransportFaultsDegradeFramesToCold) {

@@ -234,6 +234,19 @@ TEST(Io, RejectsMalformedStreams) {
   EXPECT_THROW(read_pgm(truncated), IoError);
 }
 
+// Header dimensions are checked against one pixel cap before anything is
+// allocated, so a hostile header is an IoError, not an allocator failure.
+TEST(Io, RejectsImplausibleDimensions) {
+  std::stringstream huge_pgm("P5\n2147483647 2147483647\n255\n");
+  EXPECT_THROW(read_pgm(huge_pgm), IoError);
+  std::stringstream huge_aei;
+  huge_aei.write("AEI1", 4);
+  for (int field = 0; field < 2; ++field)
+    huge_aei.write("\xff\xff\xff\x7f", 4);  // INT32_MAX, little endian
+  huge_aei.write("\0\0\0\0", 4);
+  EXPECT_THROW(read_aei(huge_aei), IoError);
+}
+
 TEST(Io, PgmHonorsComments) {
   std::stringstream ss;
   ss << "P5\n# a comment line\n2 1\n255\n";

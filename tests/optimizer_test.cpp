@@ -788,20 +788,32 @@ TEST(Farm, OptimizeOnSubmitRewritesWholePrograms) {
 
 // ---- run_program contract --------------------------------------------------
 
+// The input-binding contract holds on every path that runs a program: the
+// reference executor, and the farm with and without a residency plan (both
+// go through the same runner).
 TEST(RunProgram, RejectsMismatchedInputs) {
   CallProgram program;
   const i32 a = program.add_input(kFrame, "a");
   program.mark_output(program.add_call(pointwise_threshold(), a));
+  const std::vector<std::vector<img::Image>> bad_inputs = {
+      {},
+      {img::make_test_frame(kFrame, 1), img::make_test_frame(kFrame, 2)},
+      {img::make_test_frame(Size{16, 16}, 1)}};
   alib::SoftwareBackend backend;
-  EXPECT_THROW(analysis::run_program(program, backend, {}), Error);
-  EXPECT_THROW(
-      analysis::run_program(
-          program, backend,
-          {img::make_test_frame(kFrame, 1), img::make_test_frame(kFrame, 2)}),
-      Error);
-  EXPECT_THROW(analysis::run_program(program, backend,
-                                     {img::make_test_frame(Size{16, 16}, 1)}),
-               Error);
+  for (const std::vector<img::Image>& inputs : bad_inputs)
+    EXPECT_THROW(analysis::run_program(program, backend, inputs),
+                 InvalidArgument);
+  for (const bool planned : {false, true}) {
+    serve::FarmOptions options;
+    options.shards = 1;
+    options.residency_plan = planned;
+    serve::EngineFarm farm(options);
+    for (const std::vector<img::Image>& inputs : bad_inputs)
+      EXPECT_THROW(farm.execute_program(program, inputs), InvalidArgument)
+          << "residency_plan=" << planned << ", " << inputs.size()
+          << " inputs";
+    EXPECT_EQ(farm.stats().submitted, 0);
+  }
 }
 
 // ---- tier2: the differential rewrite-fuzz harness --------------------------
