@@ -255,11 +255,14 @@ std::vector<i32> apply_hoist(const std::vector<i32>& order, std::size_t j,
   return out;
 }
 
+/// Backstop on greedy schedule moves (each move re-prices O(n^2) candidate
+/// hoists; programs are short, so this is a guard, not a knob).
+constexpr int kMaxScheduleMoves = 32;
+
 /// Greedy steepest descent over single-call hoists; objective = Belady
 /// Transferred words.  Returns the best order found (possibly identity).
 std::vector<i32> greedy_schedule(const CallProgram& program,
-                                 const std::vector<LiveInterval>& intervals,
-                                 int max_moves) {
+                                 const std::vector<LiveInterval>& intervals) {
   const std::size_t n = program.calls().size();
   std::vector<i32> order(n);
   std::iota(order.begin(), order.end(), 0);
@@ -267,7 +270,7 @@ std::vector<i32> greedy_schedule(const CallProgram& program,
   u64 current_words =
       replay_schedule(program, order, Policy::Belady, intervals)
           .transferred_words;
-  for (int move = 0; move < max_moves; ++move) {
+  for (int move = 0; move < kMaxScheduleMoves; ++move) {
     std::vector<i32> position_of(n);
     for (std::size_t p = 0; p < n; ++p)
       position_of[static_cast<std::size_t>(order[p])] = static_cast<i32>(p);
@@ -344,7 +347,7 @@ ResidencyPlan allocate_residency(const CallProgram& program,
   std::vector<i32> best_schedule = identity;
   if (options.schedule) {
     std::vector<i32> hinted =
-        greedy_schedule(program, plan.intervals, options.max_schedule_moves);
+        greedy_schedule(program, plan.intervals);
     if (hinted != identity) {
       Replay reordered =
           replay_schedule(program, hinted, Policy::Belady, plan.intervals);

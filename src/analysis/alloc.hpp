@@ -64,9 +64,6 @@ struct AllocOptions {
   /// schedule is always the program's own call order — the mode AEW307 and
   /// the farm's plan-directed execution use.
   bool schedule = true;
-  /// Backstop on greedy schedule moves (each move re-prices O(n^2)
-  /// candidate hoists; programs are short, so this is a guard, not a knob).
-  int max_schedule_moves = 32;
 };
 
 /// Liveness interval of one frame, in call-index coordinates of the

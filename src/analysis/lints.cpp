@@ -12,22 +12,6 @@
 namespace ae::analysis {
 namespace {
 
-bool is_program_output(const CallProgram& program, i32 frame) {
-  const std::vector<i32>& outs = program.outputs();
-  return std::find(outs.begin(), outs.end(), frame) != outs.end();
-}
-
-/// Call indices (after `producer`) that read `frame`.
-std::vector<i32> consumers_of(const CallProgram& program, i32 frame) {
-  std::vector<i32> out;
-  for (std::size_t i = 0; i < program.calls().size(); ++i) {
-    const ProgramCall& pc = program.calls()[i];
-    if (pc.input_a == frame || pc.input_b == frame)
-      out.push_back(static_cast<i32>(i));
-  }
-  return out;
-}
-
 bool is_pointwise(const alib::Call& call) {
   return call.mode == alib::Mode::Intra && call.nbhd.size() == 1 &&
          call.nbhd.contains(Point{0, 0});
@@ -55,16 +39,11 @@ void lint_redundant_reupload(const CallProgram& program,
 // AEW301 — a result no later call reads and the host never collects, yet
 // a later call overwrites: the store and its readback are dead work.
 void lint_dead_store_overwrite(const CallProgram& program, Report& report) {
-  if (program.outputs().empty()) return;  // liveness unknowable, as AEV201
-  const i32 last = static_cast<i32>(program.calls().size()) - 1;
   for (std::size_t i = 0; i < program.calls().size(); ++i) {
-    const ProgramCall& pc = program.calls()[i];
-    const i32 index = static_cast<i32>(i);
-    if (index == last) continue;  // nothing overwrites the final result
-    if (is_program_output(program, pc.output)) continue;
-    if (!consumers_of(program, pc.output).empty()) continue;
+    if (!dead_result(program, i)) continue;
+    const auto index = static_cast<i32>(i);
     std::ostringstream os;
-    os << "result '" << program.frame_name(pc.output)
+    os << "result '" << program.frame_name(program.calls()[i].output)
        << "' is never read and call " << index + 1
        << " overwrites the result banks; the store and readback are dead";
     report.add(Severity::Warning, rules::kDeadStoreOverwrite, index, os.str(),
@@ -125,43 +104,18 @@ void lint_fusable_pointwise_pair(const CallProgram& program, Report& report) {
 // call is dependence-legal: a reorder recovers the reuse.
 void lint_reorder_for_reuse(const CallProgram& program,
                             const ProgramPlan& plan, Report& report) {
-  for (std::size_t j = 0; j < plan.calls.size(); ++j) {
-    const CallPlan& cp = plan.calls[j];
-    for (const InputPlan& ip : cp.inputs) {
-      if (ip.kind != TransferKind::Transferred || ip.frame < 0) continue;
-      // Latest earlier call after which the frame was still on board.
-      i32 resident_at = kNoFrame;
-      for (std::size_t i = 0; i < j; ++i) {
-        const std::vector<i32>& res = plan.calls[i].resident_after;
-        if (std::find(res.begin(), res.end(), ip.frame) != res.end())
-          resident_at = static_cast<i32>(i);
-      }
-      if (resident_at == kNoFrame || resident_at == static_cast<i32>(j) - 1)
-        continue;  // never resident, or the eviction is this call's own doing
-      // Hoisting call j to directly follow `resident_at` is legal iff every
-      // input of j is produced no later than `resident_at` (externals have
-      // producer kNoFrame).
-      bool legal = true;
-      for (const InputPlan& other : cp.inputs) {
-        if (!program.valid_frame(other.frame)) continue;
-        if (program.frames()[static_cast<std::size_t>(other.frame)].producer >
-            resident_at) {
-          legal = false;
-          break;
-        }
-      }
-      if (!legal) continue;
-      std::ostringstream os;
-      os << "input '" << program.frame_name(ip.frame)
-         << "' was resident after call " << resident_at
-         << " but is evicted by the time call " << j
-         << " reads it; moving the call directly after call " << resident_at
-         << " is dependence-legal and recovers the reuse";
-      report.add(Severity::Warning, rules::kReorderForReuse,
-                 static_cast<i32>(j), os.str(),
-                 "reorder the call next to the last resident use of its "
-                 "input");
-    }
+  for (const ReorderSite& site : reorder_for_reuse_sites(program, plan)) {
+    std::ostringstream os;
+    os << "input '" << program.frame_name(site.frame)
+       << "' was resident after call " << site.resident_at
+       << " but is evicted by the time call " << site.call
+       << " reads it; moving the call directly after call "
+       << site.resident_at
+       << " is dependence-legal and recovers the reuse";
+    report.add(Severity::Warning, rules::kReorderForReuse,
+               static_cast<i32>(site.call), os.str(),
+               "reorder the call next to the last resident use of its "
+               "input");
   }
 }
 
@@ -277,6 +231,45 @@ Report lint_program(const CallProgram& program, const ProgramPlan& plan,
 
 Report lint_program(const CallProgram& program, const PlanOptions& options) {
   return lint_program(program, plan_program(program, options), options);
+}
+
+bool dead_result(const CallProgram& program, std::size_t i) {
+  if (program.outputs().empty()) return false;
+  if (i + 1 >= program.calls().size()) return false;  // nothing overwrites it
+  const i32 output = program.calls()[i].output;
+  return !is_program_output(program, output) &&
+         consumers_of(program, output).empty();
+}
+
+std::vector<ReorderSite> reorder_for_reuse_sites(const CallProgram& program,
+                                                 const ProgramPlan& plan) {
+  std::vector<ReorderSite> sites;
+  for (std::size_t j = 0; j < plan.calls.size(); ++j) {
+    const CallPlan& cp = plan.calls[j];
+    for (const InputPlan& ip : cp.inputs) {
+      if (ip.kind != TransferKind::Transferred || ip.frame < 0) continue;
+      // Latest earlier call after which the frame was still on board.
+      i32 resident_at = kNoFrame;
+      for (std::size_t i = 0; i < j; ++i) {
+        const std::vector<i32>& res = plan.calls[i].resident_after;
+        if (std::find(res.begin(), res.end(), ip.frame) != res.end())
+          resident_at = static_cast<i32>(i);
+      }
+      if (resident_at == kNoFrame || resident_at == static_cast<i32>(j) - 1)
+        continue;  // never resident, or the eviction is this call's own doing
+      // Hoisting call j to directly follow `resident_at` is legal iff every
+      // input of j is produced no later than `resident_at` (externals have
+      // producer kNoFrame).
+      const bool legal = std::none_of(
+          cp.inputs.begin(), cp.inputs.end(), [&](const InputPlan& other) {
+            return program.valid_frame(other.frame) &&
+                   program.frames()[static_cast<std::size_t>(other.frame)]
+                           .producer > resident_at;
+          });
+      if (legal) sites.push_back(ReorderSite{j, ip.frame, resident_at});
+    }
+  }
+  return sites;
 }
 
 bool fusable_pointwise_pair(const CallProgram& program, std::size_t i) {

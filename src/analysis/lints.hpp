@@ -13,6 +13,8 @@
 // them, like any warning, to a failing exit.
 #pragma once
 
+#include <vector>
+
 #include "analysis/diagnostic.hpp"
 #include "analysis/planner.hpp"
 #include "analysis/program.hpp"
@@ -28,6 +30,29 @@ Report lint_program(const CallProgram& program, const ProgramPlan& plan,
 /// Convenience overload: prices the program, then lints it.
 Report lint_program(const CallProgram& program,
                     const PlanOptions& options = {});
+
+/// Shared predicate of AEW301 and the aeopt dead-elim rewrite: call `i`'s
+/// result is read by no call and never collected by the host, yet a later
+/// call overwrites the result banks.  False on programs without declared
+/// outputs (liveness is unknowable there, as for AEV201).  The rewrite adds
+/// its own filters on top: streamed calls without side-port results only.
+bool dead_result(const CallProgram& program, std::size_t i);
+
+/// One AEW304 site: call `call` transfers input `frame`, which was still
+/// bank-resident after the earlier call `resident_at` but evicted before
+/// this use, and hoisting `call` to directly follow `resident_at` is
+/// dependence-legal (every input of `call` exists by then).
+struct ReorderSite {
+  std::size_t call = 0;
+  i32 frame = kNoFrame;
+  i32 resident_at = kNoFrame;
+};
+
+/// AEW304's detector, shared with the aeopt reorder tier: every site of
+/// `program` under `plan` (which must price that same program), in call
+/// order, then input order.
+std::vector<ReorderSite> reorder_for_reuse_sites(const CallProgram& program,
+                                                 const ProgramPlan& plan);
 
 /// Shared predicate of AEW303 and the aeopt fuse rewrite (optimizer.hpp):
 /// call `i`'s result is consumed solely by the immediately following

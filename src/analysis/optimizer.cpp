@@ -18,21 +18,6 @@ using alib::Call;
 using alib::Mode;
 using alib::PixelOp;
 
-bool is_program_output(const CallProgram& program, i32 frame) {
-  const std::vector<i32>& outs = program.outputs();
-  return std::find(outs.begin(), outs.end(), frame) != outs.end();
-}
-
-std::vector<i32> consumers_of(const CallProgram& program, i32 frame) {
-  std::vector<i32> out;
-  for (std::size_t i = 0; i < program.calls().size(); ++i) {
-    const ProgramCall& pc = program.calls()[i];
-    if (pc.input_a == frame || pc.input_b == frame)
-      out.push_back(static_cast<i32>(i));
-  }
-  return out;
-}
-
 /// Ops whose results escape through the side port: dropping such a call
 /// changes the merged SideAccum even when its output frame is dead.
 bool has_side_port_results(const Call& call) {
@@ -133,23 +118,24 @@ u64 total_dma_words(const ProgramPlan& plan) {
   return plan.total.dma_words_in + plan.total.dma_words_out;
 }
 
-/// The shared acceptance gate: re-verify, re-plan, and prove dominance.
-/// `removed` lists old call indices whose envelopes the structural tier
-/// claims as the saving (empty disables that tier, as for reorders).
-/// Returns true and fills `record` on acceptance.
+/// A rewritten program awaiting its proof.  `removed` lists old call
+/// indices whose envelopes the structural tier claims as the saving (empty
+/// disables that tier, as for reorders).
 struct Candidate {
   CallProgram program;           // rewritten program
   std::vector<std::size_t> removed;  // structural-claim call indices
   bool permutation = false;      // residency tier applies (reorder)
 };
 
-bool prove_and_admit(const ProgramPlan& plan_old, Candidate&& cand,
-                     const OptimizeOptions& options, RewriteRecord& record,
-                     CallProgram& out_program) {
-  // Gate 1 — every emitted program re-passes aeverify.
-  if (verify_program(cand.program, options.verify).has_errors()) return false;
+/// The shared acceptance gate: re-verify, re-plan, and prove dominance.
+/// Returns true and fills `record`'s tier and claims on acceptance.
+bool prove_and_admit(const ProgramPlan& plan_old, const Candidate& cand,
+                     const PlanOptions& options, RewriteRecord& record) {
+  // Gate 1 — every emitted program re-passes aeverify on the same board.
+  if (verify_program(cand.program, VerifyOptions{options.config}).has_errors())
+    return false;
 
-  const ProgramPlan plan_new = plan_program(cand.program, options.plan);
+  const ProgramPlan plan_new = plan_program(cand.program, options);
 
   // Tier "proven": unconditional cycle dominance, margins included.
   if (plan_new.total.cycles.upper <= plan_old.total.cycles.lower) {
@@ -164,7 +150,6 @@ bool prove_and_admit(const ProgramPlan& plan_old, Candidate&& cand,
     record.claimed_pci_words_delta =
         static_cast<i64>(total_dma_words(plan_old)) -
         static_cast<i64>(total_dma_words(plan_new));
-    out_program = std::move(cand.program);
     return true;
   }
 
@@ -200,7 +185,6 @@ bool prove_and_admit(const ProgramPlan& plan_old, Candidate&& cand,
     record.claimed_cycles_delta = static_cast<i64>(est);
     record.claimed_cycles_bound = CostBound{lo, hi};
     record.claimed_pci_words_delta = static_cast<i64>(dma);
-    out_program = std::move(cand.program);
     return true;
   }
 
@@ -216,7 +200,6 @@ bool prove_and_admit(const ProgramPlan& plan_old, Candidate&& cand,
     record.claimed_cycles_delta = 0;
     record.claimed_cycles_bound = CostBound{0, 0};
     record.claimed_pci_words_delta = static_cast<i64>(before - after);
-    out_program = std::move(cand.program);
     return true;
   }
 
@@ -227,39 +210,20 @@ bool prove_and_admit(const ProgramPlan& plan_old, Candidate&& cand,
 // Rewrite classes
 // ---------------------------------------------------------------------------
 
-/// AEW301 actionable form, stricter than the advisory lint: streamed calls
-/// only, and never a call whose side-port results (Histogram/Sad/Gme*) or
-/// segment records the host can observe.
-bool dead_elim_candidate(const CallProgram& program, std::size_t i) {
-  if (program.outputs().empty()) return false;  // liveness unknowable
-  if (i + 1 >= program.calls().size()) return false;  // final result
-  const ProgramCall& pc = program.calls()[i];
-  if (pc.call.mode == Mode::Segment) return false;
-  if (has_side_port_results(pc.call)) return false;
-  if (is_program_output(program, pc.output)) return false;
-  return consumers_of(program, pc.output).empty();
-}
+/// Backstop on pass rounds: each round runs every class to its own
+/// fixpoint and rewrites are monotone, so this is never the binding limit.
+constexpr int kMaxRounds = 8;
 
-Candidate make_dead_elim(const CallProgram& program, std::size_t i) {
-  Surgery s;
-  for (std::size_t j = 0; j < program.calls().size(); ++j)
-    if (j != i) s.order.push_back(j);
-  Candidate cand{apply_surgery(program, s), {i}, false};
-  return cand;
-}
-
-/// AEW306 actionable form: drop a call the value domain proves writes back
-/// exactly its first input, pointing its readers (and any output
-/// declaration) at that input.  Bit-exactness is the identity proof itself;
-/// the pass re-stamps the admitting record with the dedicated "range" tier.
-Candidate make_range_drop(const CallProgram& program, std::size_t i) {
+/// Drops call `i`, pointing readers of its result (and any output
+/// declaration) at its first input: nothing reads a dead result, and a
+/// range identity writes back exactly that input.
+Candidate make_drop(const CallProgram& program, std::size_t i) {
   const ProgramCall& pc = program.calls()[i];
   Surgery s;
   for (std::size_t j = 0; j < program.calls().size(); ++j)
     if (j != i) s.order.push_back(j);
   s.alias_to_frame.emplace(pc.output, pc.input_a);
-  Candidate cand{apply_surgery(program, s), {i}, false};
-  return cand;
+  return Candidate{apply_surgery(program, s), {i}, false};
 }
 
 Candidate make_fuse(const CallProgram& program, std::size_t i) {
@@ -300,40 +264,79 @@ Candidate make_reorder(const CallProgram& program, std::size_t j, i32 dest) {
     s.order.push_back(k);
     if (k == static_cast<std::size_t>(dest)) s.order.push_back(j);
   }
-  Candidate cand{apply_surgery(program, s), {}, true};
-  return cand;
+  return Candidate{apply_surgery(program, s), {}, true};
 }
 
-/// Reorder candidates of one program state: (call index, hoist destination).
-std::vector<std::pair<std::size_t, i32>> reorder_candidates(
-    const CallProgram& program, const ProgramPlan& plan) {
-  std::vector<std::pair<std::size_t, i32>> out;
-  for (std::size_t j = 0; j < plan.calls.size(); ++j) {
-    const CallPlan& cp = plan.calls[j];
-    for (const InputPlan& ip : cp.inputs) {
-      if (ip.kind != TransferKind::Transferred || ip.frame < 0) continue;
-      i32 resident_at = kNoFrame;
-      for (std::size_t i = 0; i < j; ++i) {
-        const std::vector<i32>& res = plan.calls[i].resident_after;
-        if (std::find(res.begin(), res.end(), ip.frame) != res.end())
-          resident_at = static_cast<i32>(i);
-      }
-      if (resident_at == kNoFrame || resident_at == static_cast<i32>(j) - 1)
-        continue;
-      bool legal = true;
-      for (const InputPlan& other : cp.inputs) {
-        if (!program.valid_frame(other.frame)) continue;
-        if (program.frames()[static_cast<std::size_t>(other.frame)].producer >
-            resident_at) {
-          legal = false;
-          break;
-        }
-      }
-      if (legal) out.emplace_back(j, resident_at);
-    }
-  }
-  return out;
+/// A rewrite class that removes or absorbs the call at one index: the
+/// actionable form of one lint rule, run by the single loop in
+/// optimize_program.
+struct CallClass {
+  const char* rule;
+  const char* kind;
+  /// Tier stamped over the admitting proof's (nullptr keeps the proof's).
+  const char* tier;
+  /// Calls the record names, starting at the candidate index.
+  i32 span;
+  /// Call `i` is a candidate; `why` receives the proof the note cites.
+  bool (*candidate)(const CallProgram& program, std::size_t i,
+                    const ProgramDomain& domain, std::string& why);
+  Candidate (*rewrite)(const CallProgram& program, std::size_t i);
+  std::string (*note)(const CallProgram& program, std::size_t i,
+                      const std::string& why);
+};
+
+std::string result_name(const CallProgram& program, std::size_t i) {
+  return "'" + program.frame_name(program.calls()[i].output) + "'";
 }
+
+/// In run order.  Dead-elim first: it shrinks the program the other classes
+/// then scan.  A range drop often exposes a fuse, or a dead result the next
+/// round picks up.
+constexpr CallClass kCallClasses[] = {
+    // AEW301, stricter than the advisory lint: streamed calls only, and
+    // never a call whose side-port results (Histogram/Sad/Gme*) or segment
+    // records the host can observe.
+    {rules::kDeadStoreOverwrite, "dead-elim", nullptr, 1,
+     [](const CallProgram& program, std::size_t i, const ProgramDomain&,
+        std::string&) {
+       const Call& call = program.calls()[i].call;
+       return dead_result(program, i) && call.mode != Mode::Segment &&
+              !has_side_port_results(call);
+     },
+     make_drop,
+     [](const CallProgram& program, std::size_t i, const std::string&) {
+       return "dropped dead result " + result_name(program, i);
+     }},
+    // AEW306: the value domain proves the call writes back exactly its
+    // first input, so the drop is bit-exact by that proof; the tier reads
+    // `range` so the log separates savings resting on a value-domain
+    // identity proof from plain structural removals.  Declared outputs
+    // stay: re-pointing a host-visible result at an external input frame
+    // is out of surgery's contract.
+    {rules::kRangeIdentityOp, "range", "range", 1,
+     [](const CallProgram& program, std::size_t i,
+        const ProgramDomain& domain, std::string& why) {
+       return !is_program_output(program, program.calls()[i].output) &&
+              range_identity_call(program, static_cast<i32>(i), domain,
+                                  &why);
+     },
+     make_drop,
+     [](const CallProgram& program, std::size_t i, const std::string& why) {
+       return "dropped proven-identity result " + result_name(program, i) +
+              " (" + why + ")";
+     }},
+    // AEW303: the fused call may then feed another pointwise call, which
+    // the loop tries next at the same index.
+    {rules::kFusablePointwisePair, "fuse", nullptr, 2,
+     [](const CallProgram& program, std::size_t i, const ProgramDomain&,
+        std::string&) { return fusable_pointwise_pair(program, i); },
+     make_fuse,
+     [](const CallProgram& program, std::size_t i, const std::string&) {
+       return "fused pointwise " +
+              alib::to_string(program.calls()[i + 1].call.op) +
+              " onto call " + std::to_string(i);
+     }},
+};
 
 void accumulate(RewriteLog& log, const RewriteRecord& record) {
   log.records.push_back(record);
@@ -346,191 +349,112 @@ void accumulate(RewriteLog& log, const RewriteRecord& record) {
 }  // namespace
 
 OptimizeResult optimize_program(const CallProgram& program,
-                                const OptimizeOptions& options) {
+                                const PlanOptions& plan) {
   OptimizeResult result{program, {}, false};
   // The optimizer transforms only what the verifier already accepts.
-  if (verify_program(program, options.verify).has_errors()) return result;
+  if (verify_program(program, VerifyOptions{plan.config}).has_errors())
+    return result;
 
-  for (int round = 0; round < options.max_rounds; ++round) {
-    bool progress = false;
+  // The value domain of the current program, recomputed once per accepted
+  // rewrite (frame ids shift) and reused for the final hints.
+  ProgramDomain domain = analyze_domain(result.program);
+  bool progress = false;
+  // Proves `cand` against `plan_old` (the current program's plan).  On
+  // acceptance the candidate becomes the current program and `record` is
+  // logged, its tier replaced by `tier` when set; a refusal is counted.
+  const auto admit = [&](const ProgramPlan& plan_old, Candidate&& cand,
+                         RewriteRecord& record, const char* tier) {
+    if (!prove_and_admit(plan_old, cand, plan, record)) {
+      ++result.log.rejected;
+      return false;
+    }
+    if (tier != nullptr) record.tier = tier;
+    result.program = std::move(cand.program);
+    domain = analyze_domain(result.program);
+    accumulate(result.log, record);
+    progress = true;
+    return true;
+  };
+
+  for (int round = 0; round < kMaxRounds; ++round) {
+    progress = false;
     // Refusals are recounted each round; the surviving value is the set of
     // candidates still refused at fixpoint.
     result.log.rejected = 0;
 
-    // Dead-elim first: it shrinks the program other classes then scan.
-    if (options.dead_elim) {
+    for (const CallClass& cls : kCallClasses) {
       for (std::size_t i = 0; i < result.program.calls().size();) {
-        if (!dead_elim_candidate(result.program, i)) {
-          ++i;
-          continue;
-        }
-        const ProgramPlan plan = plan_program(result.program, options.plan);
-        RewriteRecord record;
-        record.rule = rules::kDeadStoreOverwrite;
-        record.kind = "dead-elim";
-        record.calls = {static_cast<i32>(i)};
-        record.note = "dropped dead result '" +
-                      result.program.frame_name(
-                          result.program.calls()[i].output) +
-                      "'";
-        CallProgram next;
-        if (prove_and_admit(plan, make_dead_elim(result.program, i), options,
-                            record, next)) {
-          result.program = std::move(next);
-          accumulate(result.log, record);
-          progress = true;
-          // Stay at i: the call list shifted left.
-        } else {
-          ++result.log.rejected;
-          ++i;
-        }
-      }
-    }
-
-    // Range drops next: the value domain is recomputed after each applied
-    // drop (frame ids shift), and a dropped identity often exposes a fuse
-    // or dead-elim opportunity the next round picks up.
-    if (options.range) {
-      for (std::size_t i = 0; i < result.program.calls().size();) {
-        const ProgramDomain domain = analyze_domain(result.program);
         std::string why;
-        // Declared outputs stay: re-pointing a host-visible result at an
-        // external input frame is out of surgery's contract.
-        if (is_program_output(result.program,
-                              result.program.calls()[i].output) ||
-            !range_identity_call(result.program, static_cast<i32>(i), domain,
-                                 &why)) {
+        if (!cls.candidate(result.program, i, domain, why)) {
           ++i;
           continue;
         }
-        const ProgramPlan plan = plan_program(result.program, options.plan);
         RewriteRecord record;
-        record.rule = rules::kRangeIdentityOp;
-        record.kind = "range";
-        record.calls = {static_cast<i32>(i)};
-        record.note = "dropped proven-identity result '" +
-                      result.program.frame_name(
-                          result.program.calls()[i].output) +
-                      "' (" + why + ")";
-        CallProgram next;
-        if (prove_and_admit(plan, make_range_drop(result.program, i),
-                            options, record, next)) {
-          // The dominance numbers come from whichever proof admitted the
-          // drop (usually outright cycle dominance); the tier is stamped
-          // `range` so the log separates savings that rest on a
-          // value-domain identity proof from plain structural removals.
-          record.tier = "range";
-          result.program = std::move(next);
-          accumulate(result.log, record);
-          progress = true;
-          // Stay at i: the call list shifted left.
-        } else {
-          ++result.log.rejected;
+        record.rule = cls.rule;
+        record.kind = cls.kind;
+        for (i32 k = 0; k < cls.span; ++k)
+          record.calls.push_back(static_cast<i32>(i) + k);
+        record.note = cls.note(result.program, i, why);
+        // Accepted: stay at i, the call list shifted left under it.
+        if (!admit(plan_program(result.program, plan),
+                   cls.rewrite(result.program, i), record, cls.tier))
           ++i;
-        }
       }
     }
 
-    if (options.fuse) {
-      for (std::size_t i = 0; i + 1 < result.program.calls().size();) {
-        if (!fusable_pointwise_pair(result.program, i)) {
-          ++i;
-          continue;
-        }
-        const ProgramPlan plan = plan_program(result.program, options.plan);
+    // Reorders are monotone in Transferred words (the residency tier only
+    // admits strict decreases), so re-deriving the sites after each
+    // accepted hoist terminates.
+    for (bool moved = true; moved;) {
+      moved = false;
+      const ProgramPlan plan_old = plan_program(result.program, plan);
+      for (const ReorderSite& site :
+           reorder_for_reuse_sites(result.program, plan_old)) {
         RewriteRecord record;
-        record.rule = rules::kFusablePointwisePair;
-        record.kind = "fuse";
-        record.calls = {static_cast<i32>(i), static_cast<i32>(i) + 1};
-        record.note =
-            "fused pointwise " +
-            alib::to_string(result.program.calls()[i + 1].call.op) +
-            " onto call " + std::to_string(i);
-        CallProgram next;
-        if (prove_and_admit(plan, make_fuse(result.program, i), options,
-                            record, next)) {
-          result.program = std::move(next);
-          accumulate(result.log, record);
-          progress = true;
-          // Stay at i: the fused call may now feed another pointwise call.
-        } else {
-          ++result.log.rejected;
-          ++i;
+        record.rule = rules::kReorderForReuse;
+        record.kind = "reorder";
+        record.calls = {static_cast<i32>(site.call), site.resident_at};
+        record.note = "hoisted call " + std::to_string(site.call) +
+                      " after call " + std::to_string(site.resident_at) +
+                      " to recover bank residency";
+        if (admit(plan_old,
+                  make_reorder(result.program, site.call, site.resident_at),
+                  record, nullptr)) {
+          moved = true;
+          break;  // plan is stale after a hoist; re-derive the sites
         }
       }
     }
-
-    if (options.reorder) {
-      // Reorders are monotone in Transferred words (the residency tier only
-      // admits strict decreases), so re-deriving candidates after each
-      // accepted hoist terminates.
-      for (bool moved = true; moved;) {
-        moved = false;
-        const ProgramPlan plan = plan_program(result.program, options.plan);
-        for (const auto& [j, dest] : reorder_candidates(result.program, plan)) {
-          RewriteRecord record;
-          record.rule = rules::kReorderForReuse;
-          record.kind = "reorder";
-          record.calls = {static_cast<i32>(j), dest};
-          record.note = "hoisted call " + std::to_string(j) +
-                        " after call " + std::to_string(dest) +
-                        " to recover bank residency";
-          CallProgram next;
-          if (prove_and_admit(plan, make_reorder(result.program, j, dest),
-                              options, record, next)) {
-            result.program = std::move(next);
-            accumulate(result.log, record);
-            progress = true;
-            moved = true;
-            break;  // plan is stale after a hoist; re-derive candidates
-          }
-          ++result.log.rejected;
-        }
-      }
-      // The aealloc schedule hint, tried only once the local hoist search
-      // is dry: the allocator's Belady-policy order is a single whole-
-      // program permutation candidate, admitted by the same residency
-      // proof — its objective (offline-optimal eviction) and the proof's
-      // (the driver's actual LRU) differ, so a hint can be refused.
-      if (options.alloc_schedule) {
-        AllocOptions alloc_options;
-        alloc_options.plan = options.plan;
-        const ResidencyPlan hint =
-            allocate_residency(result.program, alloc_options);
-        if (hint.reordered) {
-          Surgery s;
-          s.order.assign(hint.schedule.begin(), hint.schedule.end());
-          RewriteRecord record;
-          record.rule = rules::kReorderForReuse;
-          record.kind = "reorder";
-          record.calls.assign(hint.schedule.begin(), hint.schedule.end());
-          record.note =
-              "adopted aealloc schedule hint (whole-order permutation)";
-          const ProgramPlan plan = plan_program(result.program, options.plan);
-          CallProgram next;
-          if (prove_and_admit(plan,
-                              Candidate{apply_surgery(result.program, s),
-                                        {},
-                                        /*permutation=*/true},
-                              options, record, next)) {
-            result.program = std::move(next);
-            accumulate(result.log, record);
-            progress = true;
-          } else {
-            ++result.log.rejected;
-          }
-        }
-      }
+    // The aealloc schedule hint, tried only once the local hoist search is
+    // dry: the allocator's Belady-policy order is a single whole-program
+    // permutation candidate, admitted by the same residency proof — its
+    // objective (offline-optimal eviction) and the proof's (the driver's
+    // actual LRU) differ, so a hint can be refused.
+    AllocOptions alloc_options;
+    alloc_options.plan = plan;
+    const ResidencyPlan hint =
+        allocate_residency(result.program, alloc_options);
+    if (hint.reordered) {
+      Surgery s;
+      s.order.assign(hint.schedule.begin(), hint.schedule.end());
+      RewriteRecord record;
+      record.rule = rules::kReorderForReuse;
+      record.kind = "reorder";
+      record.calls.assign(hint.schedule.begin(), hint.schedule.end());
+      record.note = "adopted aealloc schedule hint (whole-order permutation)";
+      admit(plan_program(result.program, plan),
+            Candidate{apply_surgery(result.program, s), {},
+                      /*permutation=*/true},
+            record, nullptr);
     }
 
     if (!progress) break;
   }
 
-  // Advisory clamp-elision hints ride on the final program: proofs computed
-  // on the emitted call sequence, so every bit-exact rewrite above is
+  // Advisory clamp-elision hints ride on the final program: `domain` is the
+  // emitted call sequence's own, so every bit-exact rewrite above is
   // already reflected in the intervals.
-  if (options.domain_hints)
-    apply_domain_hints(result.program, analyze_domain(result.program));
+  apply_domain_hints(result.program, domain);
 
   result.changed = !result.log.records.empty();
   return result;

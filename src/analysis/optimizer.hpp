@@ -2,8 +2,9 @@
 //
 // The closing arc of the analysis stack: aeverify proves a program legal,
 // aeplan prices it, the AEW3xx lints point at cycles it leaves on the table
-// — aeopt acts on that knowledge.  Three rewrite classes, each the
-// actionable form of one lint:
+// — aeopt acts on that knowledge.  Four rewrite classes, each the
+// actionable form of one lint and each using that lint's own detector
+// (lints.hpp, domain.hpp); all four always run:
 //
 //   * dead-elim (AEW301) — drop streamed calls whose result no later call
 //     reads and the host never collects, provided the call leaves no
@@ -54,33 +55,6 @@
 
 namespace ae::analysis {
 
-struct OptimizeOptions {
-  /// Cost model the dominance proofs price against.
-  PlanOptions plan{};
-  /// Verification gate re-run on every candidate program.
-  VerifyOptions verify{};
-  /// Per-class enables.
-  bool dead_elim = true;
-  bool range = true;
-  bool fuse = true;
-  bool reorder = true;
-  /// Let the reorder tier also consider the aealloc schedule hint
-  /// (analysis/alloc.hpp): when the allocator's Belady-policy search finds
-  /// a strictly better order, the whole permutation is tried as one
-  /// candidate — after the local hoist search reaches its fixpoint, and
-  /// admitted only by the same residency dominance proof (the allocator
-  /// proposes, the prover disposes).  No effect unless `reorder` is set.
-  bool alloc_schedule = true;
-  /// Stamp Call::clamp_free on the final program from the value-domain
-  /// analysis (analysis/domain.hpp) so kernel backends may lower to
-  /// clamp-free row variants.  Advisory only — does not count as a rewrite.
-  bool domain_hints = true;
-  /// Bound on pass rounds (each round runs all enabled classes to their
-  /// own fixpoint; rewrites are monotone, so this is a backstop, not a
-  /// tuning knob).
-  int max_rounds = 8;
-};
-
 /// One applied rewrite, machine-readable (the ISSUE's RewriteLog entry).
 struct RewriteRecord {
   std::string rule;  ///< lint rule the rewrite actions ("AEW301", ...)
@@ -117,12 +91,15 @@ struct OptimizeResult {
   bool changed = false;
 };
 
-/// Rewrites `program` to a fixpoint under the enabled classes.  The result
+/// Rewrites `program` to a fixpoint under every class, proving each rewrite
+/// against `plan` (its config is also the board the re-verify gate checks),
+/// then stamps the value domain's clamp-free hints (analysis/domain.hpp) on
+/// the final program — advisory, so not counted as a rewrite.  The result
 /// program is observation-equivalent: declared output frames bit-exact,
 /// merged side-port accumulators equal, segment records preserved (keyed by
 /// id; reorders permute their arrival order).
 OptimizeResult optimize_program(const CallProgram& program,
-                                const OptimizeOptions& options = {});
+                                const PlanOptions& plan = {});
 
 /// Machine-readable rendering of a rewrite log, one line, no trailing
 /// newline.  Schema pinned by tests/optimizer_test.cpp — extend additively.

@@ -146,18 +146,11 @@ CostEnvelope plan_call(const alib::Call& call, Size frame,
 CostEnvelope plan_call(const alib::Call& call, Size frame,
                        const PlanOptions& options,
                        const alib::SegmentReachability& reach) {
-  if (call.mode != alib::Mode::Segment || frame.area() <= 0)
-    return plan_call(call, frame, options);
-
-  CostEnvelope e = plan_call(call, frame, options);
-  const u64 area = static_cast<u64>(frame.area());
-  // Clamp against the static extremes so a reach computed for a different
-  // frame can tighten but never unsoundly exceed the content-free envelope.
-  const u64 visits_hi =
-      std::min(area, static_cast<u64>(std::max<i64>(0, reach.reachable_pixels)));
-  const u64 visits_lo =
-      std::min(visits_hi, static_cast<u64>(std::max<i64>(0, reach.pushed_seeds)));
-  return plan_segment_call(call, frame, options, e, visits_lo, visits_hi);
+  return plan_call(
+      call, frame, options,
+      SegmentVisitInterval{
+          static_cast<u64>(std::max<i64>(0, reach.pushed_seeds)),
+          static_cast<u64>(std::max<i64>(0, reach.reachable_pixels))});
 }
 
 CostEnvelope plan_call(const alib::Call& call, Size frame,
@@ -168,9 +161,9 @@ CostEnvelope plan_call(const alib::Call& call, Size frame,
 
   CostEnvelope e = plan_call(call, frame, options);
   const u64 area = static_cast<u64>(frame.area());
-  // Clamp against the static extremes, exactly like the reachability
-  // overload: a proof computed for a different frame can tighten but never
-  // unsoundly exceed the content-free envelope.
+  // Clamp against the static extremes so a bracket computed for a different
+  // frame (a proof or a reachability probe) can tighten but never unsoundly
+  // exceed the content-free envelope.
   const u64 visits_hi = std::min(area, visits.hi);
   const u64 visits_lo = std::min(visits_hi, visits.lo);
   return plan_segment_call(call, frame, options, e, visits_lo, visits_hi);

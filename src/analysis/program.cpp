@@ -1,5 +1,7 @@
 #include "analysis/program.hpp"
 
+#include <algorithm>
+
 namespace ae::analysis {
 
 i32 CallProgram::add_input(Size size, std::string name) {
@@ -45,6 +47,21 @@ std::string CallProgram::frame_name(i32 id) const {
   // literal + to_string temporary chain under -O2.
   std::string out(1, '#');
   out += std::to_string(id);
+  return out;
+}
+
+bool is_program_output(const CallProgram& program, i32 frame) {
+  const std::vector<i32>& outs = program.outputs();
+  return std::find(outs.begin(), outs.end(), frame) != outs.end();
+}
+
+std::vector<i32> consumers_of(const CallProgram& program, i32 frame) {
+  std::vector<i32> out;
+  for (std::size_t i = 0; i < program.calls().size(); ++i) {
+    const ProgramCall& pc = program.calls()[i];
+    if (pc.input_a == frame || pc.input_b == frame)
+      out.push_back(static_cast<i32>(i));
+  }
   return out;
 }
 

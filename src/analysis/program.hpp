@@ -76,4 +76,10 @@ class CallProgram {
   std::vector<i32> outputs_;
 };
 
+/// True when `frame` is a declared program output (the host collects it).
+bool is_program_output(const CallProgram& program, i32 frame);
+
+/// Indices of the calls that read `frame` through either input.
+std::vector<i32> consumers_of(const CallProgram& program, i32 frame);
+
 }  // namespace ae::analysis

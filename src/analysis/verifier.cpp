@@ -308,7 +308,7 @@ void check_geometry(const Call& call, Size a, const Size* b, i32 idx,
 
   // AEV111 — a frame that is not strip-aligned in scan space ends in a
   // short final strip: legal, but it costs one extra DMA interrupt.
-  if (options.check_alignment && cfg.strip_lines > 0 &&
+  if (cfg.strip_lines > 0 &&
       space.line_count() % cfg.strip_lines != 0)
     r.add(Severity::Warning, rules::kStripUnaligned, idx,
           "scan-space line count " + std::to_string(space.line_count()) +

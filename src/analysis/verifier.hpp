@@ -20,9 +20,6 @@ struct VerifyOptions {
   /// Engine model the program is checked against (strip/IIM sizing, line
   /// buffers, ZBT capacity).  Defaults to the prototype board.
   core::EngineConfig config{};
-  /// Emit the strip-alignment warning (AEV111).  On by default; callers
-  /// verifying software-only workloads may turn it off.
-  bool check_alignment = true;
 };
 
 /// Verifies a single call against its input frame geometry.  `b` is the

@@ -60,7 +60,6 @@ SequenceExperiment run_sequence_experiment(
     const Size canvas = Mosaic::required_canvas(sequence.frame_size(),
                                                 placements, origin);
     Mosaic mosaic(canvas, origin);
-    Translation acc;
     // Re-walk the sequence pasting every frame at its placement.  The blend
     // itself is host-side work in this reproduction (priced per pixel).
     for (int t = 0; t < frames; ++t) {
@@ -68,7 +67,6 @@ SequenceExperiment run_sequence_experiment(
                        placements[static_cast<std::size_t>(t)]);
       backend.add_high_level(
           static_cast<u64>(sequence.frame_size().area()) * 15);
-      (void)acc;
     }
     exp.mosaic = mosaic.render();
     exp.mosaic_coverage = mosaic.coverage();
@@ -79,15 +77,6 @@ SequenceExperiment run_sequence_experiment(
   exp.intra_calls = backend.intra_calls();
   exp.inter_calls = backend.inter_calls();
   return exp;
-}
-
-std::vector<SequenceExperiment> run_table3(const SequenceRunOptions& options) {
-  std::vector<SequenceExperiment> rows;
-  for (const img::PaperSequence which : img::all_paper_sequences()) {
-    const img::SyntheticSequence sequence(img::paper_sequence_params(which));
-    rows.push_back(run_sequence_experiment(sequence, options));
-  }
-  return rows;
 }
 
 }  // namespace ae::gme

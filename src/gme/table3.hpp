@@ -49,8 +49,4 @@ SequenceExperiment run_sequence_experiment(
     const img::SyntheticSequence& sequence,
     const SequenceRunOptions& options = {});
 
-/// Convenience: runs all four paper sequences (optionally frame-limited).
-std::vector<SequenceExperiment> run_table3(
-    const SequenceRunOptions& options = {});
-
 }  // namespace ae::gme

@@ -99,7 +99,10 @@ ProgramExecution EngineFarm::execute_program(
   const analysis::CallProgram* to_run = &program;
   analysis::CallProgram optimized;
   if (options_.optimize_on_submit) {
-    analysis::OptimizeResult result = analysis::optimize_program(program);
+    // Rewrites are proven against this farm's board, like admission and
+    // the residency plan below.
+    analysis::OptimizeResult result =
+        analysis::optimize_program(program, {options_.config});
     out.log = std::move(result.log);
     out.optimized = result.changed;
     optimized = std::move(result.program);
@@ -730,7 +733,7 @@ void EngineFarm::restore_shard(int shard_index, const std::vector<u8>& blob) {
     QuiescedShard quiesced(*this, shard);
     try {
       install_snapshot(shard, parse_snapshot(blob), /*with_breaker=*/true);
-    } catch (const SnapshotCorruption&) {
+    } catch (const SnapshotChecksumMismatch&) {
       shard.session.injector().note_snapshot_mismatch();
       throw;
     }
@@ -789,9 +792,10 @@ bool EngineFarm::recover_shard(int shard_index) {
         install_snapshot(shard, parse_snapshot(shard.last_snapshot),
                          /*with_breaker=*/false);
         warm = true;
-      } catch (const SnapshotCorruption&) {
+      } catch (const SnapshotChecksumMismatch&) {
         shard.session.injector().note_snapshot_mismatch();
-      } catch (const SnapshotVersionMismatch&) {
+      } catch (const SnapshotError&) {
+        // A forged or foreign-version blob: the board comes back cold.
       }
     }
     shard.breaker = shard.session.breaker();

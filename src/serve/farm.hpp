@@ -98,7 +98,8 @@ struct FarmOptions {
   /// programs handed to execute_program() before any call is submitted.
   /// Per-call submit()/execute() traffic is never rewritten — fusion and
   /// reordering only exist at program granularity.  Results stay bit-exact:
-  /// every rewrite is dominance-proven and re-verified.
+  /// every rewrite is dominance-proven and re-verified, both against
+  /// `config` — the board the farm runs and admits on.
   bool optimize_on_submit = false;
   /// Plan-directed whole-program execution: execute_program() runs the
   /// aealloc pass (analysis::allocate_residency) and executes the program
@@ -271,8 +272,9 @@ class EngineFarm : public alib::Backend {
   /// frames.  Frames stream through the shard's fault injector
   /// (RestoreCorrupt), retrying per frame up to the transport budget; a
   /// frame that never arrives clean stays cold.  Throws SnapshotCorruption
-  /// or SnapshotVersionMismatch (after counting the detection) on a bad
-  /// blob, leaving the shard serving with its previous state.
+  /// or SnapshotVersionMismatch on a bad blob, leaving the shard serving
+  /// with its previous state; only a failed CRC (SnapshotChecksumMismatch)
+  /// counts as a snapshot checksum detection.
   void restore_shard(int shard, const std::vector<u8>& blob);
 
   /// Simulated board power loss: on-board state (residency, frames) is

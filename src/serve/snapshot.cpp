@@ -23,6 +23,10 @@ constexpr u8 kMaxConnectivity = static_cast<u8>(alib::Connectivity::Eight);
   throw SnapshotCorruption("snapshot blob rejected: " + what);
 }
 
+[[noreturn]] void fail_checksum(const std::string& what) {
+  throw SnapshotChecksumMismatch("snapshot blob rejected: " + what);
+}
+
 class Writer {
  public:
   void u8v(u8 v) { bytes_.push_back(v); }
@@ -345,7 +349,8 @@ ShardSnapshot parse_snapshot(const std::vector<u8>& blob) {
                                 blob.begin() + 16 +
                                     static_cast<std::ptrdiff_t>(payload_size));
   Reader trailer(blob.data() + 16 + payload_size, 4);
-  if (payload_crc(payload) != trailer.u32v()) fail("payload checksum mismatch");
+  if (payload_crc(payload) != trailer.u32v())
+    fail_checksum("payload checksum mismatch");
 
   Reader r(payload.data(), payload.size());
   ShardSnapshot snapshot;
@@ -375,7 +380,8 @@ ShardSnapshot parse_snapshot(const std::vector<u8>& blob) {
     ResidentFrame frame;
     frame.hash = r.u64v();
     frame.content = read_image(r);
-    if (r.u32v() != frame_crc(frame.content)) fail("resident frame CRC");
+    if (r.u32v() != frame_crc(frame.content))
+      fail_checksum("resident frame CRC");
     // The key steers affinity routing and residency after a restore, so it
     // must be the content's own key, not merely a well-formed one.
     if (frame.hash != core::frame_content_hash(frame.content))

@@ -58,6 +58,14 @@ class SnapshotCorruption : public SnapshotError {
   using SnapshotError::SnapshotError;
 };
 
+/// The corruption a CRC caught: the payload checksum or a resident frame's
+/// CRC disagrees with the bytes (bit rot at rest).  A blob that passes its
+/// checksums but carries forged fields is plain SnapshotCorruption.
+class SnapshotChecksumMismatch : public SnapshotCorruption {
+ public:
+  using SnapshotCorruption::SnapshotCorruption;
+};
+
 /// The blob's format revision is not the one this build reads/writes.
 class SnapshotVersionMismatch : public SnapshotError {
  public:

@@ -280,13 +280,6 @@ TEST(WarningRules, OversizedWindowAndShortStripWarnButPass) {
   EXPECT_TRUE(report.mentions(analysis::rules::kStripUnaligned));
   EXPECT_EQ(report.exit_code(false), analysis::kExitClean);
   EXPECT_EQ(report.exit_code(true), analysis::kExitErrors);
-
-  // The alignment warning is optional for software-only workloads.
-  analysis::VerifyOptions no_alignment;
-  no_alignment.check_alignment = false;
-  EXPECT_FALSE(analysis::verify_call(call, Size{5, 5}, nullptr, false,
-                                     no_alignment)
-                   .mentions(analysis::rules::kStripUnaligned));
 }
 
 TEST(WarningRules, DegenerateFrameIsAnError) {

@@ -12,11 +12,8 @@
 // commit it with the change that caused it (see docs/TESTING.md).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "core/core.hpp"
 #include "core/resilient.hpp"
@@ -43,55 +40,12 @@ std::string digest(const core::EngineTrace& trace) {
   return os.str();
 }
 
-std::vector<std::string> lines_of(const std::string& text) {
-  std::vector<std::string> lines;
-  std::istringstream is(text);
-  std::string line;
-  while (std::getline(is, line)) lines.push_back(line);
-  return lines;
-}
-
 void check_against_golden(const std::string& name,
                           const core::EngineTrace& trace) {
-  const std::string path = std::string(AE_GOLDEN_DIR) + "/" + name;
-  const std::string actual = digest(trace);
   ASSERT_EQ(trace.dropped_events(), 0u)
       << "trace capacity too small for a golden run";
-
-  if (std::getenv("AE_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream out(path, std::ios::trunc);
-    ASSERT_TRUE(out.good()) << "cannot write " << path;
-    out << actual;
-    SUCCEED() << "regenerated " << path;
-    return;
-  }
-
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good())
-      << "missing golden file " << path
-      << " — run with AE_UPDATE_GOLDEN=1 to generate it";
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string expected = buffer.str();
-  if (expected == actual) return;
-
-  // Drift: report the first diverging record, not a wall of text.
-  const std::vector<std::string> want = lines_of(expected);
-  const std::vector<std::string> got = lines_of(actual);
-  std::size_t first = 0;
-  while (first < want.size() && first < got.size() &&
-         want[first] == got[first])
-    ++first;
-  ADD_FAILURE() << "golden trace drift in " << name << " ("
-                << want.size() << " -> " << got.size() << " records)\n"
-                << "  first divergence at record " << first + 1 << ":\n"
-                << "    golden: "
-                << (first < want.size() ? want[first] : "<end of trace>")
-                << "\n    actual: "
-                << (first < got.size() ? got[first] : "<end of trace>")
-                << "\n  if this timing change is intentional, regenerate "
-                   "with AE_UPDATE_GOLDEN=1 and commit the diff "
-                   "(docs/TESTING.md).";
+  test::check_golden_text(std::string(AE_GOLDEN_DIR) + "/" + name,
+                          digest(trace));
 }
 
 TEST(GoldenTrace, CanonicalIntraCon8Call) {

@@ -37,7 +37,7 @@ u16 run_network(const kern::MedianNetwork& net, std::vector<u16> v) {
         break;
     }
   }
-  return v[net.median_index];
+  return v[static_cast<std::size_t>(net.median_index)];
 }
 
 u16 ref_median(std::vector<u16> v) {

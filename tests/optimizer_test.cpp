@@ -36,7 +36,6 @@ using alib::Neighborhood;
 using alib::PixelOp;
 using analysis::CallProgram;
 using analysis::kNoFrame;
-using analysis::OptimizeOptions;
 using analysis::OptimizeResult;
 using analysis::ProgramPlan;
 using analysis::ProgramRunResult;
@@ -405,23 +404,6 @@ TEST(Range, KeepsAHostCollectedIdentity) {
   EXPECT_EQ(opt.program.calls().size(), 1u);
 }
 
-TEST(Range, CanBeDisabled) {
-  CallProgram program;
-  const i32 a = program.add_input(kFrame, "a");
-  const i32 flat = program.add_call(threshold_const_zero(), a);
-  const i32 sum = program.add_call(Call::make_inter(PixelOp::Add), a, flat);
-  program.mark_output(program.add_call(pointwise_scale(), sum));
-
-  OptimizeOptions no_range;
-  no_range.range = false;
-  const OptimizeResult opt = analysis::optimize_program(program, no_range);
-  for (const RewriteRecord& r : opt.log.records) EXPECT_NE(r.kind, "range");
-  bool add_survives = false;
-  for (const analysis::ProgramCall& pc : opt.program.calls())
-    add_survives = add_survives || pc.call.op == PixelOp::Add;
-  EXPECT_TRUE(add_survives);
-}
-
 TEST(Range, DomainHintsStampClampFreeOnTheFinalProgram) {
   CallProgram program;
   const i32 a = program.add_input(kFrame, "a");
@@ -436,12 +418,6 @@ TEST(Range, DomainHintsStampClampFreeOnTheFinalProgram) {
   const OptimizeResult opt = analysis::optimize_program(program);
   EXPECT_FALSE(opt.changed);  // hints are advisory, not a rewrite
   EXPECT_TRUE(opt.program.calls()[0].call.clamp_free.contains(Channel::Y));
-
-  OptimizeOptions no_hints;
-  no_hints.domain_hints = false;
-  EXPECT_TRUE(analysis::optimize_program(program, no_hints)
-                  .program.calls()[0]
-                  .call.clamp_free.empty());
 }
 
 // ---- reorder (AEW304) ------------------------------------------------------
@@ -603,25 +579,24 @@ TEST(Dominance, IllFormedProgramsComeBackUnchanged) {
   EXPECT_EQ(opt.program.calls().size(), 2u);
 }
 
-// ---- per-class switches ----------------------------------------------------
+// ---- class order -----------------------------------------------------------
 
-TEST(Options, ClassesCanBeDisabledIndependently) {
+TEST(Classes, RunInTableOrderWithinOneRound) {
   CallProgram program;
   const i32 a = program.add_input(kFrame, "a");
   program.add_call(intra_con8(), a);  // dead
   const i32 grad = program.add_call(intra_con8(), a);
   program.mark_output(program.add_call(pointwise_threshold(), grad));
 
-  OptimizeOptions no_dead;
-  no_dead.dead_elim = false;
-  const OptimizeResult opt = analysis::optimize_program(program, no_dead);
-  ASSERT_EQ(opt.log.records.size(), 1u);
-  EXPECT_EQ(opt.log.records[0].kind, "fuse");
-  EXPECT_EQ(opt.program.calls().size(), 2u);  // the dead call survives
-
-  OptimizeOptions none;
-  none.dead_elim = none.range = none.fuse = none.reorder = false;
-  EXPECT_FALSE(analysis::optimize_program(program, none).changed);
+  // Dead-elim runs first and shifts the fusable pair down to index 0.
+  const OptimizeResult opt = analysis::optimize_program(program);
+  ASSERT_EQ(opt.log.records.size(), 2u);
+  EXPECT_EQ(opt.log.records[0].kind, "dead-elim");
+  EXPECT_EQ(opt.log.records[0].calls, (std::vector<i32>{0}));
+  EXPECT_EQ(opt.log.records[1].kind, "fuse");
+  EXPECT_EQ(opt.log.records[1].calls, (std::vector<i32>{0, 1}));
+  EXPECT_EQ(opt.program.calls().size(), 1u);
+  EXPECT_EQ(opt.log.rejected, 0);
 }
 
 // ---- RewriteLog JSON schema (pinned, like report_json / plan_json) ---------
@@ -784,6 +759,34 @@ TEST(Farm, OptimizeOnSubmitRewritesWholePrograms) {
   EXPECT_FALSE(raw.optimized);
   EXPECT_TRUE(raw.log.records.empty());
   expect_runs_equal(ref, raw.run);
+}
+
+// The farm proves its rewrites against its own board — the one its
+// admission control and residency plan price against — not the default.
+TEST(Farm, OptimizeOnSubmitProvesAgainstTheFarmsBoard) {
+  CallProgram program;
+  const i32 a = program.add_input(kFrame, "a");
+  const i32 grad = program.add_call(intra_con8(), a);
+  program.mark_output(program.add_call(pointwise_threshold(40), grad));
+
+  core::EngineConfig config;
+  config.call_setup_overhead_cycles = 66'000;
+  const OptimizeResult on_board = analysis::optimize_program(program, {config});
+  ASSERT_TRUE(on_board.changed);
+  // The board changes the claim, so the comparison below can tell them apart.
+  ASSERT_NE(on_board.log.claimed_cycles_delta,
+            analysis::optimize_program(program).log.claimed_cycles_delta);
+
+  serve::FarmOptions options;
+  options.shards = 1;
+  options.config = config;
+  options.optimize_on_submit = true;
+  serve::EngineFarm farm(options);
+  Rng rng(0xFA24u);
+  const serve::ProgramExecution exec = farm.execute_program(
+      program, {img::make_test_frame(kFrame, rng.next_u64())});
+  EXPECT_EQ(analysis::rewrite_log_json(exec.log),
+            analysis::rewrite_log_json(on_board.log));
 }
 
 // ---- run_program contract --------------------------------------------------

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "addresslib/addresslib.hpp"
@@ -23,6 +27,51 @@ inline img::Image small_frame(u64 seed = 1) {
 /// A second frame of the same size with different content.
 inline img::Image small_frame_b(u64 seed = 2) {
   return img::make_test_frame(Size{48, 32}, seed);
+}
+
+/// Compares `actual` with the committed golden file `path`, reporting the
+/// first diverging line rather than a wall of text.  With AE_UPDATE_GOLDEN
+/// set in the environment it rewrites the file instead (docs/TESTING.md).
+inline void check_golden_text(const std::string& path,
+                              const std::string& actual) {
+  if (std::getenv("AE_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream out(path, std::ios::trunc);
+    ASSERT_TRUE(out.good()) << "cannot write " << path;
+    out << actual;
+    SUCCEED() << "regenerated " << path;
+    return;
+  }
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good())
+      << "missing golden file " << path
+      << " — run with AE_UPDATE_GOLDEN=1 to generate it";
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  if (buffer.str() == actual) return;
+
+  const auto lines_of = [](const std::string& text) {
+    std::vector<std::string> lines;
+    std::istringstream is(text);
+    std::string line;
+    while (std::getline(is, line)) lines.push_back(line);
+    return lines;
+  };
+  const std::vector<std::string> want = lines_of(buffer.str());
+  const std::vector<std::string> got = lines_of(actual);
+  std::size_t first = 0;
+  while (first < want.size() && first < got.size() &&
+         want[first] == got[first])
+    ++first;
+  ADD_FAILURE() << "golden drift in " << path << " (" << want.size()
+                << " -> " << got.size() << " lines)\n"
+                << "  first divergence at line " << first + 1 << ":\n"
+                << "    golden: "
+                << (first < want.size() ? want[first] : "<end>")
+                << "\n    actual: "
+                << (first < got.size() ? got[first] : "<end>")
+                << "\n  if this change is intentional, regenerate with "
+                   "AE_UPDATE_GOLDEN=1 and commit the diff "
+                   "(docs/TESTING.md).";
 }
 
 /// Asserts two images identical in the masked channels with a useful
