@@ -509,11 +509,11 @@ ProgramRunResult run_program(const CallProgram& program, alib::Backend& backend,
   return run_program(
       program, order, inputs,
       [&backend](std::size_t, const ProgramCall& pc,
-                 const std::vector<const img::Image*>& values) {
+                 const std::vector<FrameHandle>& values) {
         const img::Image* b =
             pc.input_b == kNoFrame
                 ? nullptr
-                : values[static_cast<std::size_t>(pc.input_b)];
+                : values[static_cast<std::size_t>(pc.input_b)].get();
         return backend.execute(
             pc.call, *values[static_cast<std::size_t>(pc.input_a)], b);
       });
@@ -524,10 +524,10 @@ ProgramRunResult run_program(const CallProgram& program,
                              const std::vector<img::Image>& inputs,
                              const ProgramStep& step) {
   const auto& frames = program.frames();
-  // A frame's value is either a caller input, referred to and never copied,
-  // or a result this run owns in `results`.  nullptr: not available yet.
-  std::vector<const img::Image*> values(frames.size(), nullptr);
-  std::vector<img::Image> results(frames.size());
+  // A frame's value is either a caller input, borrowed and never copied,
+  // or a result this run moved into a buffer of its own.  Null: not
+  // available yet.
+  std::vector<FrameHandle> values(frames.size());
   const auto available = [&](i32 f) {
     return program.valid_frame(f) &&
            values[static_cast<std::size_t>(f)] != nullptr;
@@ -540,7 +540,7 @@ ProgramRunResult run_program(const CallProgram& program,
     AE_EXPECTS(inputs[next_input].size() == frames[f].size,
                "run_program: input image size mismatch for frame '" +
                    program.frame_name(static_cast<i32>(f)) + "'");
-    values[f] = &inputs[next_input++];
+    values[f] = borrow_frame(inputs[next_input++]);
   }
   AE_EXPECTS(next_input == inputs.size(),
              "run_program: more input images than external frames");
@@ -560,20 +560,22 @@ ProgramRunResult run_program(const CallProgram& program,
     out.stats.merge(r.stats);
     out.segments.insert(out.segments.end(), r.segments.begin(),
                         r.segments.end());
-    const auto o = static_cast<std::size_t>(pc.output);
-    results[o] = std::move(r.output);
-    values[o] = &results[o];
+    values[static_cast<std::size_t>(pc.output)] =
+        std::make_shared<img::Image>(std::move(r.output));
   }
   const std::vector<i32>& declared = program.outputs();
   for (auto it = declared.begin(); it != declared.end(); ++it) {
     AE_EXPECTS(available(*it),
                "run_program: declared output was never produced");
-    const auto f = static_cast<std::size_t>(*it);
-    if (values[f] == &results[f] &&
+    const FrameHandle& value = values[static_cast<std::size_t>(*it)];
+    // Sole owner of a buffer the run made (non-const, above): moving out
+    // of it is safe once no later mention reads it.
+    if (value.use_count() == 1 &&
         std::find(it + 1, declared.end(), *it) == declared.end())
-      out.outputs.push_back(std::move(results[f]));
+      out.outputs.push_back(
+          std::move(*std::const_pointer_cast<img::Image>(value)));
     else
-      out.outputs.push_back(*values[f]);
+      out.outputs.push_back(*value);
   }
   return out;
 }

@@ -47,6 +47,7 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -108,11 +109,28 @@ std::string rewrite_log_json(const RewriteLog& log);
 /// Human-readable log (one line per record plus a totals line).
 std::string format_rewrite_log(const RewriteLog& log);
 
+/// A frame value held by shared, immutable handle.  A run holds each result
+/// in a buffer of its own, and a step may share it (a farm shard keeps the
+/// frames on its board this way, serve/farm.hpp).  A caller's input is
+/// borrowed: its handle points at the caller's image and owns nothing.
+using FrameHandle = std::shared_ptr<const img::Image>;
+
+/// A handle to `image` that owns nothing; the caller keeps `image` alive.
+inline FrameHandle borrow_frame(const img::Image& image) {
+  return FrameHandle(FrameHandle(), &image);
+}
+
+/// True for a handle made by borrow_frame: it has no owner to share.
+inline bool is_borrowed(const FrameHandle& frame) {
+  return frame != nullptr && frame.use_count() == 0;
+}
+
 /// Reference sequential executor of a CallProgram: external frames are taken
-/// from `inputs` in frame-declaration order (referenced, never copied),
-/// intermediate results are held by frame id, and the declared outputs come
-/// back in outputs() order (a result moves out on its last mention there;
-/// a caller input, or a result named again later, is copied).  Side-port
+/// from `inputs` in frame-declaration order (borrowed, never copied), each
+/// result is moved once into a buffer of its own, and the declared outputs
+/// come back in outputs() order (a result moves out on its last mention
+/// there when the run holds its only reference; a caller input, a result
+/// named again later, or one a step still shares is copied).  Side-port
 /// accumulators, stats, and segment records are merged across all calls —
 /// the observation set the optimizer's equivalence contract is stated over.
 struct ProgramRunResult {
@@ -129,11 +147,13 @@ ProgramRunResult run_program(const CallProgram& program, alib::Backend& backend,
                              const std::vector<img::Image>& inputs);
 
 /// One call of a run: its position in the execution order, the call, and
-/// every frame's current value by id (nullptr: not yet available).  The
-/// runner has checked that the call's inputs are available.
+/// every frame's current value by id (null: not yet available).  The
+/// runner has checked that the call's inputs are available.  A step may
+/// keep a result's handle beyond the call; a borrowed input's (is_borrowed)
+/// only until the run returns.
 using ProgramStep = std::function<alib::CallResult(
     std::size_t position, const ProgramCall& call,
-    const std::vector<const img::Image*>& values)>;
+    const std::vector<FrameHandle>& values)>;
 
 /// Runs `program`'s calls in `order` (call indices; every call's inputs
 /// must be available when it runs), executing each through `step`.  Same

@@ -11,6 +11,13 @@
 namespace ae::serve {
 namespace {
 
+/// True when `key` names a frame in one of the board's input banks (the
+/// frames a shard holds content for; the result bank is key-only).
+bool in_input_bank(const core::ResidencyTable<u64>& board, u64 key) {
+  return key != 0 && std::any_of(board.slots().begin(), board.slots().end(),
+                                 [&](const auto& s) { return s.key == key; });
+}
+
 std::string admission_message(u64 predicted, u64 budget) {
   std::ostringstream os;
   os << "call rejected by admission control: planned cycle upper bound "
@@ -116,48 +123,25 @@ ProgramExecution EngineFarm::execute_program(
     alloc_options.plan.config = options_.config;
     out.residency = analysis::allocate_residency(*to_run, alloc_options);
     out.allocated = true;
-    int home = 0;
+    Request request;
+    request.program =
+        std::make_unique<ProgramJob>(*to_run, out.residency, inputs);
+    std::future<analysis::ProgramRunResult> done =
+        request.program->promise.get_future();
     {
-      // lifecycle_mu_ makes the shards_ iteration safe against resize();
-      // released before any submission blocks on queue space.
+      // lifecycle_mu_ keeps shards_ stable against resize() from the pick
+      // to the enqueue, and orders this against shutdown().
       sync::MutexLock lifecycle(lifecycle_mu_);
-      home = least_loaded_shard();
+      {
+        sync::MutexLock lock(mu_);
+        AE_EXPECTS(!stop_, "execute_program() on a farm that is shut down");
+        ++in_flight_;
+      }
+      request.program->home = least_loaded_shard();
+      Shard& home = *shards_[static_cast<std::size_t>(request.program->home)];
+      enqueue(home, std::move(request), /*affinity_hit=*/false);
     }
-    // One content key per frame value: inputs are hashed on first use,
-    // results take the key their call's session computed.  A result the
-    // session did not hash (simulated or fallback call) is hashed on first
-    // use too.
-    std::vector<u64> keys(to_run->frames().size(), 0);
-    out.run = analysis::run_program(
-        *to_run, out.residency.schedule, inputs,
-        [&](std::size_t position, const analysis::ProgramCall& pc,
-            const std::vector<const img::Image*>& values) {
-          const auto key = [&](i32 f) {
-            const auto i = static_cast<std::size_t>(f);
-            if (keys[i] == 0) keys[i] = core::frame_content_hash(*values[i]);
-            return keys[i];
-          };
-          const img::Image* b = nullptr;
-          core::FrameKeys call_keys{key(pc.input_a), 0};
-          if (pc.input_b != analysis::kNoFrame) {
-            b = values[static_cast<std::size_t>(pc.input_b)];
-            call_keys.b = key(pc.input_b);
-          }
-          // Each call pins the plan's keep set, as far as it exists yet.
-          std::vector<u64> pins;
-          for (const i32 kept : out.residency.assignments[position].keep)
-            if (to_run->valid_frame(kept) &&
-                values[static_cast<std::size_t>(kept)] != nullptr)
-              pins.push_back(key(kept));
-          u64 output_key = 0;
-          alib::CallResult r =
-              submit_request(pc.call,
-                             *values[static_cast<std::size_t>(pc.input_a)], b,
-                             call_keys, home, std::move(pins), &output_key)
-                  .get();
-          keys[static_cast<std::size_t>(pc.output)] = output_key;
-          return r;
-        });
+    out.run = done.get();
     sync::MutexLock lock(mu_);
     ++planned_programs_;
     planned_words_saved_ += out.residency.words_saved;
@@ -173,15 +157,31 @@ ProgramExecution EngineFarm::execute_program(
 std::future<alib::CallResult> EngineFarm::submit(const alib::Call& call,
                                                  const img::Image& a,
                                                  const img::Image* b) {
-  return submit_request(call, a, b, /*keys=*/{}, /*forced_shard=*/-1,
-                        /*pin_hashes=*/{}, /*output_key=*/nullptr);
+  // Fail malformed calls in the caller's context, not on a worker.
+  Request request;
+  request.keys = admit(call, a, b, {});
+  request.call = call;
+  request.a = analysis::borrow_frame(a);
+  if (b != nullptr) request.b = analysis::borrow_frame(*b);
+  std::future<alib::CallResult> future = request.promise.get_future();
+
+  sync::MutexLock lock(mu_);
+  while (!stop_ && pending_.size() >= options_.queue_capacity)
+    space_cv_.wait(mu_);
+  AE_EXPECTS(!stop_, "submit() on a farm that is shut down");
+  pending_.push_back(std::move(request));
+  ++submitted_;
+  ++in_flight_;
+  peak_queue_depth_ = std::max(peak_queue_depth_, pending_.size());
+  if (scheduler_trace_ != nullptr)
+    scheduler_trace_->record(dispatch_seq_, core::TraceEvent::QueueDepth,
+                             static_cast<i64>(pending_.size()));
+  sched_cv_.notify_one();
+  return future;
 }
 
-std::future<alib::CallResult> EngineFarm::submit_request(
-    const alib::Call& call, const img::Image& a, const img::Image* b,
-    core::FrameKeys keys, int forced_shard, std::vector<u64> pin_hashes,
-    u64* output_key) {
-  // Fail malformed calls in the caller's context, not on a worker.
+core::FrameKeys EngineFarm::admit(const alib::Call& call, const img::Image& a,
+                                  const img::Image* b, core::FrameKeys keys) {
   alib::validate_call(call, a, b);
   // A frame's identity is computed once, here, and travels with the
   // request: the router, the shard's session and its snapshot bookkeeping
@@ -224,38 +224,15 @@ std::future<alib::CallResult> EngineFarm::submit_request(
                            options_.admission_budget_cycles);
     }
   }
-  Request request;
-  request.call = call;
-  request.a = &a;
-  request.b = b;
-  request.keys = keys;
-  request.output_key = output_key;
-  request.forced_shard = forced_shard;
-  request.pin_hashes = std::move(pin_hashes);
-  std::future<alib::CallResult> future = request.promise.get_future();
-
-  sync::MutexLock lock(mu_);
-  while (!stop_ && pending_.size() >= options_.queue_capacity)
-    space_cv_.wait(mu_);
-  AE_EXPECTS(!stop_, "submit() on a farm that is shut down");
-  pending_.push_back(std::move(request));
-  ++submitted_;
-  ++in_flight_;
-  peak_queue_depth_ = std::max(peak_queue_depth_, pending_.size());
-  if (scheduler_trace_ != nullptr)
-    scheduler_trace_->record(dispatch_seq_, core::TraceEvent::QueueDepth,
-                             static_cast<i64>(pending_.size()));
-  sched_cv_.notify_one();
-  return future;
+  return keys;
 }
 
 int EngineFarm::route(const Request& request, bool& affinity_hit) {
   affinity_hit = false;
-  // Plan-directed requests go exactly where the program's home shard is:
-  // a residency plan holds only if every call shares the board.  Clamped
-  // because a resize() may have shrunk the farm since the pick.
-  if (request.forced_shard >= 0)
-    return std::min(request.forced_shard,
+  // A program requeued by an elastic operation goes back to its home
+  // shard, clamped because a resize() may have shrunk the farm.
+  if (request.program != nullptr)
+    return std::min(request.program->home,
                     static_cast<int>(shards_.size()) - 1);
   // Affinity first: a shard already holding one of the input frames skips
   // that frame's strip DMA entirely.
@@ -310,7 +287,18 @@ void EngineFarm::dispatch(Request request, int shard_index,
   // the same content follow them (batch-mates included).
   if (request.keys.a != 0) affinity_[request.keys.a] = shard_index;
   if (request.keys.b != 0) affinity_[request.keys.b] = shard_index;
-  Shard& shard = *shards_[static_cast<std::size_t>(shard_index)];
+  const std::size_t depth =
+      enqueue(*shards_[static_cast<std::size_t>(shard_index)],
+              std::move(request), affinity_hit);
+  sync::MutexLock lock(mu_);
+  if (affinity_hit) ++affinity_hits_;
+  if (scheduler_trace_ != nullptr)
+    scheduler_trace_->record(dispatch_seq_, core::TraceEvent::ShardOccupancy,
+                             static_cast<i64>(depth));
+}
+
+std::size_t EngineFarm::enqueue(Shard& shard, Request request,
+                                bool affinity_hit) {
   std::size_t depth = 0;
   {
     sync::MutexLock lock(shard.mu);
@@ -320,11 +308,7 @@ void EngineFarm::dispatch(Request request, int shard_index,
     shard.peak_depth = std::max(shard.peak_depth, depth);
   }
   shard.cv.notify_one();
-  sync::MutexLock lock(mu_);
-  if (affinity_hit) ++affinity_hits_;
-  if (scheduler_trace_ != nullptr)
-    scheduler_trace_->record(dispatch_seq_, core::TraceEvent::ShardOccupancy,
-                             static_cast<i64>(depth));
+  return depth;
 }
 
 void EngineFarm::scheduler_loop() {
@@ -380,72 +364,156 @@ void EngineFarm::worker_loop(Shard& shard) {
       // while the previous call ran — its strips had a tail to hide in.
       can_overlap = shard.prev_on_engine;
     }
-
-    const i64 fallbacks_before = shard.session.stats().fallback_calls;
-    const i64 retries_before = shard.session.stats().call_retries;
-    u64 overlap = 0;
-    bool on_engine = false;
+    if (request.program != nullptr) {
+      serve_program(shard, *request.program, can_overlap);
+      continue;
+    }
+    Served served;
+    std::exception_ptr error;
     try {
-      // Pins are per-request: a plan-directed call installs its keep set,
-      // ordinary traffic (empty vector) clears any previous pins — so a
-      // plan's pins never outlive the call they were computed for.
-      shard.session.pin_frames(request.pin_hashes);
-      alib::CallResult result = shard.session.execute(
-          request.call, *request.a, request.b, request.keys);
-      on_engine = shard.session.stats().fallback_calls == fallbacks_before;
-      // Only an engine-served call left its key in the session (the
-      // software fallback hashes nothing).
-      if (request.output_key != nullptr && on_engine)
-        *request.output_key = shard.session.session().last_output_key();
-      // A call that needed whole-call retries streamed its inputs more than
-      // once, but the previous call's tail could hide only the *first*
-      // attempt's strips.  Crediting overlap to the surviving attempt would
-      // subtract the same tail twice and understate the shard clock (and
-      // the farm makespan) under faults.
-      const bool retried = shard.session.stats().call_retries != retries_before;
-      if (on_engine && can_overlap && !retried) {
-        const core::CallPhases& phases = shard.session.session().last_phases();
-        overlap = std::min(phases.input_cycles,
-                           shard.prev_phases.post_input_cycles);
-        result.stats.cycles -= std::min(result.stats.cycles, overlap);
-        result.stats.model_seconds = static_cast<double>(result.stats.cycles) *
-                                     options_.config.seconds_per_cycle();
-      }
-      {
-        sync::MutexLock lock(shard.mu);
-        ++shard.calls;
-        shard.clock_cycles += result.stats.cycles;
-        shard.overlap_saved += overlap;
-        if (on_engine && can_overlap && retried) ++shard.retry_pipeline_breaks;
-        shard.breaker = shard.session.breaker();
-        shard.resilient = shard.session.stats();
-        shard.session_stats = shard.session.session().stats();
-        update_resident_frames(shard, request, result.output);
-        shard.busy = false;
-        // Pipeline continuity: the *next* call may overlap only if it is
-        // already waiting now (otherwise its strips missed this tail).
-        shard.prev_on_engine = on_engine && !shard.queue.empty();
-        if (on_engine) shard.prev_phases = shard.session.session().last_phases();
-      }
-      shard.cv.notify_all();  // elastic operations wait for !busy
-      request.promise.set_value(std::move(result));
+      // Ordinary traffic pins nothing, which also clears a program's pins.
+      served = serve_call(shard, request.call, request.a, request.b,
+                          request.keys, {}, can_overlap);
     } catch (...) {
       // ResilientSession absorbs transport faults; anything arriving here
       // is a programming error (bad call slipped past validation).  The
       // caller gets the exception; the shard keeps serving.
-      {
-        sync::MutexLock lock(shard.mu);
-        shard.busy = false;
-        shard.prev_on_engine = false;
-      }
-      shard.cv.notify_all();
-      request.promise.set_exception(std::current_exception());
+      error = std::current_exception();
     }
-
-    sync::MutexLock lock(mu_);
-    ++completed_;
-    if (--in_flight_ == 0) idle_cv_.notify_all();
+    finish_request(shard, served.on_engine, 1, /*program=*/false);
+    if (error)
+      request.promise.set_exception(error);
+    else
+      request.promise.set_value(std::move(served.result));
   }
+}
+
+EngineFarm::Served EngineFarm::serve_call(
+    Shard& shard, const alib::Call& call, const analysis::FrameHandle& a,
+    const analysis::FrameHandle& b, const core::FrameKeys& keys,
+    const std::vector<u64>& pins, bool can_overlap) {
+  const i64 fallbacks_before = shard.session.stats().fallback_calls;
+  const i64 retries_before = shard.session.stats().call_retries;
+  // Pins are per-call: a plan-directed call installs its keep set, so a
+  // plan's pins never outlive the call they were computed for.
+  shard.session.pin_frames(pins);
+  Served served;
+  served.result = shard.session.execute(call, *a, b.get(), keys);
+  served.on_engine = shard.session.stats().fallback_calls == fallbacks_before;
+  alib::CallResult& result = served.result;
+  const bool on_engine = served.on_engine;
+  // A call that needed whole-call retries streamed its inputs more than
+  // once, but the previous call's tail could hide only the *first*
+  // attempt's strips.  Crediting overlap to the surviving attempt would
+  // subtract the same tail twice and understate the shard clock (and the
+  // farm makespan) under faults.
+  const bool retried = shard.session.stats().call_retries != retries_before;
+  u64 overlap = 0;
+  if (on_engine && can_overlap && !retried) {
+    const core::CallPhases& phases = shard.session.session().last_phases();
+    overlap =
+        std::min(phases.input_cycles, shard.prev_phases.post_input_cycles);
+    result.stats.cycles -= std::min(result.stats.cycles, overlap);
+    result.stats.model_seconds = static_cast<double>(result.stats.cycles) *
+                                 options_.config.seconds_per_cycle();
+  }
+  sync::MutexLock lock(shard.mu);
+  ++shard.calls;
+  shard.clock_cycles += result.stats.cycles;
+  shard.overlap_saved += overlap;
+  if (on_engine && can_overlap && retried) ++shard.retry_pipeline_breaks;
+  shard.breaker = shard.session.breaker();
+  shard.resilient = shard.session.stats();
+  shard.session_stats = shard.session.session().stats();
+  update_resident_frames(shard, a, b, keys);
+  if (on_engine) shard.prev_phases = shard.session.session().last_phases();
+  return served;
+}
+
+void EngineFarm::serve_program(Shard& shard, ProgramJob& job,
+                               bool can_overlap) {
+  const analysis::CallProgram& program = job.program;
+  // One content key per frame value: inputs are hashed on first use,
+  // results take the key their call's session computed.  A result the
+  // session did not hash (simulated or fallback call) is hashed on first
+  // use too.
+  std::vector<u64> keys(program.frames().size(), 0);
+  i64 calls = 0;
+  bool on_engine = false;
+  analysis::ProgramRunResult run;
+  std::exception_ptr error;
+  try {
+    run = analysis::run_program(
+        program, job.plan.schedule, job.inputs,
+        [&](std::size_t position, const analysis::ProgramCall& pc,
+            const std::vector<analysis::FrameHandle>& values) {
+          const auto key = [&](i32 f) {
+            const auto i = static_cast<std::size_t>(f);
+            if (keys[i] == 0) keys[i] = core::frame_content_hash(*values[i]);
+            return keys[i];
+          };
+          const analysis::FrameHandle& a =
+              values[static_cast<std::size_t>(pc.input_a)];
+          analysis::FrameHandle b;
+          core::FrameKeys call_keys{key(pc.input_a), 0};
+          if (pc.input_b != analysis::kNoFrame) {
+            b = values[static_cast<std::size_t>(pc.input_b)];
+            call_keys.b = key(pc.input_b);
+          }
+          admit(pc.call, *a, b.get(), call_keys);
+          // Each call pins the plan's keep set, as far as it exists yet.
+          std::vector<u64> pins;
+          for (const i32 kept : job.plan.assignments[position].keep)
+            if (program.valid_frame(kept) &&
+                values[static_cast<std::size_t>(kept)] != nullptr)
+              pins.push_back(key(kept));
+          ++calls;
+          on_engine = false;  // a call that throws breaks the pipeline
+          // A later call was never queued behind this one, so only the
+          // first call may hide its strips in the previous request's tail.
+          Served served = serve_call(shard, pc.call, a, b, call_keys, pins,
+                                     can_overlap && position == 0);
+          on_engine = served.on_engine;
+          // Only an engine-served call left its key in the session (the
+          // software fallback hashes nothing).
+          if (on_engine)
+            keys[static_cast<std::size_t>(pc.output)] =
+                shard.session.session().last_output_key();
+          return std::move(served.result);
+        });
+  } catch (...) {
+    // A call's own error (validation, admission, a failed execute) fails
+    // the program; the caller gets it from the future.
+    error = std::current_exception();
+  }
+  finish_request(shard, on_engine, calls, /*program=*/true);
+  if (error)
+    job.promise.set_exception(error);
+  else
+    job.promise.set_value(std::move(run));
+}
+
+void EngineFarm::finish_request(Shard& shard, bool on_engine, i64 calls,
+                                bool program) {
+  {
+    sync::MutexLock lock(shard.mu);
+    // The request's borrowed frames die with it: one still in an input
+    // bank, and not already held by a buffer of the farm's, is copied now.
+    for (auto& [key, frame] : shard.resident)
+      if (analysis::is_borrowed(frame))
+        frame = std::make_shared<const img::Image>(*frame);
+    shard.busy = false;
+    // Pipeline continuity: the *next* request may overlap only if it is
+    // already waiting now (otherwise its strips missed this tail).
+    shard.prev_on_engine = on_engine && !shard.queue.empty();
+  }
+  shard.cv.notify_all();  // elastic operations wait for !busy
+  sync::MutexLock lock(mu_);
+  // A program's admitted calls are counted submitted here, with their
+  // completion; a hand-submitted call was counted when it was queued.
+  if (program) submitted_ += calls;
+  completed_ += calls;
+  if (--in_flight_ == 0) idle_cv_.notify_all();
 }
 
 void EngineFarm::drain() {
@@ -601,20 +669,18 @@ void EngineFarm::record_elastic_event(core::TraceEvent event, i64 arg) {
     scheduler_trace_->record(dispatch_seq_, event, arg);
 }
 
-void EngineFarm::update_resident_frames(Shard& shard, const Request& request,
-                                        const img::Image& output) {
+void EngineFarm::update_resident_frames(Shard& shard,
+                                        const analysis::FrameHandle& a,
+                                        const analysis::FrameHandle& b,
+                                        const core::FrameKeys& keys) {
   const core::ResidencyTable<u64>& board = shard.session.residency();
-  // Drop content of frames the board no longer holds.
-  for (auto it = shard.resident.begin(); it != shard.resident.end();)
-    it = board.holds(it->first) ? std::next(it) : shard.resident.erase(it);
-  // Copy in frames that just became resident; the call's own images are
-  // the only candidates.  try_emplace: no copy when already tracked.
-  if (board.holds(request.keys.a) && request.a != nullptr)
-    shard.resident.try_emplace(request.keys.a, *request.a);
-  if (board.holds(request.keys.b) && request.b != nullptr)
-    shard.resident.try_emplace(request.keys.b, *request.b);
-  if (board.holds(board.result()))
-    shard.resident.try_emplace(board.result(), output);
+  std::erase_if(shard.resident, [&](const auto& frame) {
+    return !in_input_bank(board, frame.first);
+  });
+  // The call's own inputs are the only frames that can have arrived.
+  if (in_input_bank(board, keys.a)) shard.resident.try_emplace(keys.a, a);
+  if (b != nullptr && in_input_bank(board, keys.b))
+    shard.resident.try_emplace(keys.b, b);
 }
 
 u64 EngineFarm::install_frames(Shard& shard,
@@ -625,16 +691,17 @@ u64 EngineFarm::install_frames(Shard& shard,
       1 + shard.session.options().transport.max_strip_retries;
   u64 words = 0;
   for (const ResidentFrame& frame : frames) {
-    const u32 want = frame_crc(frame.content);
+    const img::Image& content = *frame.content;
+    const u32 want = frame_crc(content);
     bool installed = false;
     for (int attempt = 0; attempt < max_attempts && !installed; ++attempt) {
       // Stream the frame's ZBT words through the (possibly adversarial)
       // transport, CRC-checking what arrives — same integrity discipline
       // as per-strip transfers, amortized over the whole frame.
       core::Crc32 crc;
-      crc.add(static_cast<u32>(frame.content.width()));
-      crc.add(static_cast<u32>(frame.content.height()));
-      for (const img::Pixel& p : frame.content.pixels()) {
+      crc.add(static_cast<u32>(content.width()));
+      crc.add(static_cast<u32>(content.height()));
+      for (const img::Pixel& p : content.pixels()) {
         u32 lower = p.lower_word();
         u32 upper = p.upper_word();
         injector.corrupt_restore_word(lower);
@@ -642,7 +709,7 @@ u64 EngineFarm::install_frames(Shard& shard,
         crc.add(lower);
         crc.add(upper);
       }
-      words += 2 * static_cast<u64>(frame.content.pixel_count());
+      words += 2 * static_cast<u64>(content.pixel_count());
       if (crc.value() == want)
         installed = true;
       else
@@ -665,10 +732,10 @@ void EngineFarm::install_snapshot(Shard& shard, const ShardSnapshot& snapshot,
   core::ResidencyTable<u64> residency(snapshot.residency);
   shard.resident.clear();
   const u64 words = install_frames(shard, snapshot.frames, residency);
-  // Keep the content map consistent with what the residency table names.
-  for (auto it = shard.resident.begin(); it != shard.resident.end();)
-    it = residency.holds(it->first) ? std::next(it)
-                                    : shard.resident.erase(it);
+  // Keep the content map to the input banks the residency table names.
+  std::erase_if(shard.resident, [&](const auto& frame) {
+    return !in_input_bank(residency, frame.first);
+  });
   if (with_breaker) shard.session.restore_breaker(snapshot.breaker);
   shard.session.restore_residency(residency.snapshot());
   const u64 cost = bulk_restore_cycles(words);
@@ -703,13 +770,20 @@ std::vector<u8> EngineFarm::snapshot_shard(int shard_index) {
     // it for free — so carrying its frame would inflate every restore by a
     // full frame of PCI words for state the board regenerates anyway.
     snapshot.residency.result_hash = 0;
-    const core::ResidencyTable<u64> carried(snapshot.residency);
-    snapshot.frames.reserve(shard.resident.size());
+    // `resident` is key-ordered, so the frames are too; the handles are
+    // shared, not copied.
     for (const auto& [hash, content] : shard.resident)
-      if (carried.holds(hash)) snapshot.frames.push_back({hash, content});
-    snapshot.queued.reserve(quiesced.backlog().size());
-    for (const Request& r : quiesced.backlog())
-      snapshot.queued.push_back(r.call);
+      if (in_input_bank(shard.session.residency(), hash))
+        snapshot.frames.push_back({hash, content});
+    for (const Request& r : quiesced.backlog()) {
+      if (r.program == nullptr) {
+        snapshot.queued.push_back(r.call);
+        continue;
+      }
+      for (const i32 c : r.program->plan.schedule)
+        snapshot.queued.push_back(
+            r.program->program.calls()[static_cast<std::size_t>(c)].call);
+    }
     blob = serialize_snapshot(snapshot, &shard.session.injector());
     shard.last_snapshot = blob;
   }
@@ -829,7 +903,7 @@ int EngineFarm::install_migrated(Shard& to, int to_index,
       if (frame.hash == 0 || residency.holds(frame.hash)) continue;
       // Both input banks occupied: the board is full.
       if (!residency.install_free(frame.hash)) break;
-      words += 2 * static_cast<u64>(frame.content.pixel_count());
+      words += 2 * static_cast<u64>(frame.content->pixel_count());
       to.resident.insert_or_assign(frame.hash, std::move(frame.content));
       affinity_[frame.hash] = to_index;  // scheduler is parked: safe
       ++moved;
@@ -926,7 +1000,7 @@ int EngineFarm::rebalance() {
       Shard& source = *shards_[static_cast<std::size_t>(rich)];
       sync::MutexLock lock(source.mu);
       if (source.resident.empty()) break;
-      auto it = source.resident.begin();
+      auto it = source.resident.begin();  // the smallest key
       one.push_back({it->first, std::move(it->second)});
       source.resident.erase(it);
       // Evict from the source board's residency tables too.

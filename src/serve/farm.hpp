@@ -7,7 +7,8 @@
 // behind a thread-safe submission queue.  Clients submit `alib::Call`s
 // (sync via the Backend interface or future-based async via submit());
 // a scheduler thread drains the queue in batches and routes every call to a
-// shard:
+// shard (a residency-planned program skips the queue: it is one request,
+// placed straight on its home shard, see FarmOptions::residency_plan):
 //
 //   * affinity routing — a call lands on the shard where its input frames
 //     are already resident (keyed by `core::frame_content_hash`), so the
@@ -42,8 +43,9 @@
 // snapshotted/mutated -> restoring -> running — and *provably drops no
 // accepted work*: queued-but-unstarted requests are moved back to the
 // front of the farm queue when the operation ends, by any exit; in-flight
-// calls finish first (their promises must resolve); and the in_flight_
-// counter that drain() trusts never decrements for a requeued request.
+// requests, a whole program included, finish first (their promises must
+// resolve); and the in_flight_ counter that drain() trusts never
+// decrements for a requeued request.
 // Restores and migrations are priced onto the receiving shard's clock as
 // bulk PCI bursts so the makespan stays honest about recovery.
 #pragma once
@@ -52,6 +54,7 @@
 #include <cstddef>
 #include <deque>
 #include <future>
+#include <map>
 #include <memory>
 #include <thread>
 #include <unordered_map>
@@ -102,11 +105,13 @@ struct FarmOptions {
   /// `config` — the board the farm runs and admits on.
   bool optimize_on_submit = false;
   /// Plan-directed whole-program execution: execute_program() runs the
-  /// aealloc pass (analysis::allocate_residency) and executes the program
-  /// on ONE shard in the plan's schedule order, pinning each call's `keep`
-  /// frames (core::EngineSession::pin_frames) so incidental eviction cannot
-  /// undo the planned residency.  Results stay bit-exact — residency only
-  /// changes what the timing model charges; the plan's savings land in
+  /// aealloc pass (analysis::allocate_residency) and sends the program to
+  /// ONE shard as one request; its worker runs the calls inline in the
+  /// plan's schedule order, pinning each call's `keep` frames
+  /// (core::EngineSession::pin_frames) so incidental eviction cannot undo
+  /// the planned residency.  Each call is still validated and admitted on
+  /// its own.  Results stay bit-exact — residency only changes what the
+  /// timing model charges; the plan's savings land in
   /// FarmStats::planned_words_saved.  Per-call submit()/execute() traffic
   /// is unaffected.
   bool residency_plan = false;
@@ -193,9 +198,12 @@ struct FarmStats {
 
 /// A pool of resilient engine sessions behind a batching scheduler.
 ///
-/// Lifetime: input frames are NOT copied; the caller keeps `a`/`b` alive
-/// and unmodified until the returned future is ready (the sync execute()
-/// path trivially satisfies this).
+/// Lifetime: input frames are borrowed, not copied; the caller keeps
+/// `a`/`b` (or a program's `inputs`) alive and unmodified until the future
+/// is ready (the sync execute() and execute_program() paths trivially
+/// satisfy this).  When the request ends, a borrowed frame that still sits
+/// in one of the shard's input banks is copied once, so the shard never
+/// refers to caller memory afterwards.
 class EngineFarm : public alib::Backend {
  public:
   explicit EngineFarm(FarmOptions options = {});
@@ -218,11 +226,13 @@ class EngineFarm : public alib::Backend {
                                        const img::Image& a,
                                        const img::Image* b = nullptr);
 
-  /// Executes a whole call program against the farm: each call is submitted
-  /// in dependence order (the farm's routing still picks shards, so
-  /// residency affinity applies across the program's intermediate frames).
-  /// When `optimize_on_submit` is set the program first goes through the
-  /// aeopt rewriter; the returned log carries the dominance-proven claims.
+  /// Executes a whole call program against the farm.  Without
+  /// `residency_plan` each call is submitted in dependence order (the
+  /// farm's routing still picks shards, so residency affinity applies
+  /// across the program's intermediate frames); with it the program is one
+  /// request to one home shard (FarmOptions::residency_plan).  When
+  /// `optimize_on_submit` is set the program first goes through the aeopt
+  /// rewriter; the returned log carries the dominance-proven claims.
   /// External frames are taken from `inputs` in frame-declaration order.
   ProgramExecution execute_program(const analysis::CallProgram& program,
                                    const std::vector<img::Image>& inputs);
@@ -258,12 +268,13 @@ class EngineFarm : public alib::Backend {
   // front of the farm queue and are re-routed when the scheduler resumes,
   // also when the operation throws.
 
-  /// Drains shard `shard` to a call boundary and serializes its state —
-  /// residency tables with frame content, breaker/backoff machine, modeled
-  /// clock, and the descriptors of its requeued backlog — into a versioned,
-  /// checksummed blob.  The blob is returned and also retained as the
-  /// shard's last snapshot (what recover_shard() warms up from).  The
-  /// shard's fault plan gets one SnapshotCorrupt opportunity per call.
+  /// Drains shard `shard` to a request boundary and serializes its state —
+  /// residency tables with the content of the input-bank frames (in key
+  /// order), breaker/backoff machine, modeled clock, and the descriptors of
+  /// its requeued backlog (every call of a queued program) — into a
+  /// versioned, checksummed blob.  The blob is returned and also retained
+  /// as the shard's last snapshot (what recover_shard() warms up from).
+  /// The shard's fault plan gets one SnapshotCorrupt opportunity per call.
   std::vector<u8> snapshot_shard(int shard);
 
   /// Full-fidelity restore of a snapshot blob into shard `shard`: breaker
@@ -292,38 +303,46 @@ class EngineFarm : public alib::Backend {
 
   /// Grows or shrinks the shard count under load.  Growth appends fresh
   /// shards; shrink drains each dying shard, requeues its backlog,
-  /// migrates its resident frames to a surviving shard (priced in PCI
+  /// migrates its input-bank frames to a surviving shard (priced in PCI
   /// words) and joins its worker.  Routing state is remapped so no hash
   /// points at a dead shard.
   void resize(int shards);
 
-  /// Waits for the farm to go fully idle, then greedily migrates resident
-  /// frames from frame-rich shards to frame-poor ones until counts differ
-  /// by at most one (or boards run out of free banks).  Returns the number
-  /// of frames moved; each move is priced in PCI words on the receiver.
+  /// Waits for the farm to go fully idle, then greedily migrates input-bank
+  /// frames, smallest key first, from frame-rich shards to frame-poor ones
+  /// until counts differ by at most one (or boards run out of free banks).
+  /// Returns the number of frames moved; each move is priced in PCI words
+  /// on the receiver.
   int rebalance();
 
  private:
+  /// A plan-directed program (FarmOptions::residency_plan), run inline by
+  /// its home shard's worker.  The referenced state is the caller's, alive
+  /// until the promise is fulfilled.
+  struct ProgramJob {
+    const analysis::CallProgram& program;
+    const analysis::ResidencyPlan& plan;
+    const std::vector<img::Image>& inputs;
+    /// The shard the program runs on: a residency plan is only worth
+    /// anything if the whole program shares one board.  Clamped when a
+    /// resize() shrank the farm before the program started.
+    int home = 0;
+    std::promise<analysis::ProgramRunResult> promise;
+  };
+
+  /// One unit of shard work: a hand-submitted call, or a whole program.
   struct Request {
     alib::Call call;
-    const img::Image* a = nullptr;
-    const img::Image* b = nullptr;
+    /// The caller's frames, borrowed (analysis::borrow_frame).
+    analysis::FrameHandle a;
+    analysis::FrameHandle b;
     /// Content keys of the inputs, hashed once at submission and carried
     /// to the shard's session: routing, residency and snapshots all key
     /// frames by them.
     core::FrameKeys keys;
-    /// Where the worker stores the output's content key before completing
-    /// the promise (0 when the session did not hash it); null when the
-    /// submitter has no use for it.
-    u64* output_key = nullptr;
-    /// Plan-directed execution: route to exactly this shard (bypassing
-    /// affinity routing) when >= 0 — a residency plan is only worth
-    /// anything if the whole program shares one board.
-    int forced_shard = -1;
-    /// Frame hashes pinned on the serving session for this call (empty for
-    /// ordinary traffic, which also clears any previous pins).
-    std::vector<u64> pin_hashes;
     std::promise<alib::CallResult> promise;
+    /// Set for a planned program, which uses none of the fields above.
+    std::unique_ptr<ProgramJob> program;
   };
 
   struct Shard {
@@ -350,10 +369,14 @@ class EngineFarm : public alib::Backend {
     core::SessionStats session_stats AE_GUARDED_BY(mu);
     u64 elastic_cycles AE_GUARDED_BY(mu) = 0;
     i64 retry_pipeline_breaks AE_GUARDED_BY(mu) = 0;
-    /// Host-side copies of the frames currently resident on this board,
-    /// keyed by content hash — maintained by the worker as residency
-    /// changes.  The raw material of snapshots and migration.
-    std::unordered_map<u64, img::Image> resident AE_GUARDED_BY(mu);
+    /// The content of the frames in this board's input banks, by content
+    /// key, held by shared handle — exactly the working set a snapshot
+    /// carries; the result bank is key-only.  Maintained by the worker as
+    /// residency changes; the raw material of snapshots and migration.
+    /// Ordered by key, so snapshots and rebalance() are pure functions of
+    /// shard state.  A caller's frame is borrowed here while its request
+    /// runs and copied when the request ends (finish_request).
+    std::map<u64, analysis::FrameHandle> resident AE_GUARDED_BY(mu);
     /// Most recent serialize_snapshot() blob (possibly rotted by the
     /// injector); what recover_shard() warms up from.
     std::vector<u8> last_snapshot AE_GUARDED_BY(mu);
@@ -366,14 +389,37 @@ class EngineFarm : public alib::Backend {
 
   void scheduler_loop();
   void worker_loop(Shard& shard);
-  /// The submission path behind submit(): validation, hashing (only the
-  /// keys `keys` lacks), admission, then enqueue.  `forced_shard`,
-  /// `pin_hashes` and `output_key` carry the plan-directed extras (-1 /
-  /// empty / null for ordinary traffic).
-  std::future<alib::CallResult> submit_request(
-      const alib::Call& call, const img::Image& a, const img::Image* b,
-      core::FrameKeys keys, int forced_shard, std::vector<u64> pin_hashes,
-      u64* output_key);
+  /// The per-call checks every call passes, submitted or planned:
+  /// validation, hashing (only the keys `keys` lacks), the optional
+  /// aeverify guard, then admission against the cycle budget.  Returns the
+  /// resolved keys.
+  core::FrameKeys admit(const alib::Call& call, const img::Image& a,
+                        const img::Image* b, core::FrameKeys keys);
+
+  /// What serve_call hands back.
+  struct Served {
+    alib::CallResult result;
+    bool on_engine = false;  ///< the board, not the software fallback, ran it
+  };
+  /// One call of the shard's current request, on the worker thread: pins
+  /// `pins` (empty clears them), executes on the shard's session, credits
+  /// strip overlap when `can_overlap`, and publishes the shard's clock,
+  /// stats and resident frames under shard.mu.  The one per-call body of
+  /// hand-submitted calls and program steps.
+  Served serve_call(Shard& shard, const alib::Call& call,
+                    const analysis::FrameHandle& a,
+                    const analysis::FrameHandle& b,
+                    const core::FrameKeys& keys, const std::vector<u64>& pins,
+                    bool can_overlap);
+  /// Runs a planned program on its home shard's worker, one serve_call per
+  /// call; only the first may take strip overlap.
+  void serve_program(Shard& shard, ProgramJob& job, bool can_overlap);
+  /// Ends the shard's current request before its promise is fulfilled:
+  /// copies any borrowed frame still in an input bank, frees the shard for
+  /// elastic operations, sets the pipeline state from the last call, and
+  /// counts `calls` complete (and, for a program, submitted) — so a caller
+  /// sees its calls counted once its future is ready.
+  void finish_request(Shard& shard, bool on_engine, i64 calls, bool program);
   /// The least-loaded shard: a closed breaker first, then the shortest
   /// backlog, then the earliest modeled clock.  route()'s load-balancing
   /// pick and a plan-directed program's home shard (execute_program).  The
@@ -383,6 +429,9 @@ class EngineFarm : public alib::Backend {
   /// came from frame residency rather than load balancing.
   int route(const Request& request, bool& affinity_hit);
   void dispatch(Request request, int shard_index, bool affinity_hit);
+  /// Appends `request` to the shard's queue and wakes its worker; returns
+  /// the new depth.
+  std::size_t enqueue(Shard& shard, Request request, bool affinity_hit);
 
   /// Parks the batching scheduler for the guard's lifetime: sets `paused_`
   /// and blocks until the scheduler thread is provably inside its wait
@@ -448,10 +497,13 @@ class EngineFarm : public alib::Backend {
   /// handshake — no per-strip interrupts, because nothing consumes strips
   /// during a restore.
   u64 bulk_restore_cycles(u64 words) const;
-  /// Refreshes the shard's host-side resident-frame copies after a call,
-  /// from the session's residency table and the call's own images.
-  void update_resident_frames(Shard& shard, const Request& request,
-                              const img::Image& output) AE_REQUIRES(shard.mu);
+  /// Refreshes the shard's resident frames after a call from the session's
+  /// input banks: drops what left them and shares in the call's inputs
+  /// that arrived (a frame already tracked keeps its handle).
+  void update_resident_frames(Shard& shard, const analysis::FrameHandle& a,
+                              const analysis::FrameHandle& b,
+                              const core::FrameKeys& keys)
+      AE_REQUIRES(shard.mu);
   /// Streams snapshot frames onto the shard's board through its injector,
   /// verifying each frame's CRC and retrying within the transport budget;
   /// a frame that never streams clean is pruned from `residency` and stays
@@ -464,9 +516,9 @@ class EngineFarm : public alib::Backend {
   /// shard clock (which never rewinds below the live clock).
   void install_snapshot(Shard& shard, const ShardSnapshot& snapshot,
                         bool with_breaker) AE_REQUIRES(shard.mu);
-  /// Moves frames into `to`'s free input banks (skipping frames already
-  /// resident there), updates routing, prices the stream.  Returns frames
-  /// actually installed.  Scheduler must be parked.
+  /// Moves frames (their handles) into `to`'s free input banks (skipping
+  /// frames already resident there), updates routing, prices the stream.
+  /// Returns frames actually installed.  Scheduler must be parked.
   int install_migrated(Shard& to, int to_index,
                        std::vector<ResidentFrame> frames);
   /// Records an elastic trace event and lets the caller bump counters.

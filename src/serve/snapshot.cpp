@@ -303,8 +303,8 @@ std::vector<u8> serialize_snapshot(const ShardSnapshot& snapshot,
   payload.u32v(static_cast<u32>(snapshot.frames.size()));
   for (const ResidentFrame& frame : snapshot.frames) {
     payload.u64v(frame.hash);
-    write_image(payload, frame.content);
-    payload.u32v(frame_crc(frame.content));
+    write_image(payload, *frame.content);
+    payload.u32v(frame_crc(*frame.content));
   }
 
   payload.u32v(static_cast<u32>(snapshot.queued.size()));
@@ -377,16 +377,14 @@ ShardSnapshot parse_snapshot(const std::vector<u8>& blob) {
   const u32 frames = r.count(20);
   snapshot.frames.reserve(frames);
   for (u32 i = 0; i < frames; ++i) {
-    ResidentFrame frame;
-    frame.hash = r.u64v();
-    frame.content = read_image(r);
-    if (r.u32v() != frame_crc(frame.content))
-      fail_checksum("resident frame CRC");
+    const u64 hash = r.u64v();
+    img::Image content = read_image(r);
+    if (r.u32v() != frame_crc(content)) fail_checksum("resident frame CRC");
     // The key steers affinity routing and residency after a restore, so it
     // must be the content's own key, not merely a well-formed one.
-    if (frame.hash != core::frame_content_hash(frame.content))
-      fail("resident frame key");
-    snapshot.frames.push_back(std::move(frame));
+    if (hash != core::frame_content_hash(content)) fail("resident frame key");
+    snapshot.frames.push_back(
+        {hash, std::make_shared<const img::Image>(std::move(content))});
   }
 
   const u32 queued = r.count(1);

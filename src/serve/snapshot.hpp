@@ -32,6 +32,7 @@
 // one hash pass per restored frame.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "addresslib/call.hpp"
@@ -80,10 +81,12 @@ class SnapshotVersionMismatch : public SnapshotError {
 
 /// One resident frame, content included, keyed by the same content hash the
 /// residency tables and the farm's affinity router use.  `hash` must equal
-/// `core::frame_content_hash(content)`; parse_snapshot enforces it.
+/// `core::frame_content_hash(*content)`; parse_snapshot enforces it.  The
+/// content is a shared, immutable buffer: a snapshot, a migration and the
+/// shard it came from hold the same one.
 struct ResidentFrame {
   u64 hash = 0;
-  img::Image content;
+  std::shared_ptr<const img::Image> content;
 };
 
 /// The serializable state of one shard.
@@ -94,8 +97,9 @@ struct ShardSnapshot {
   u64 clock_cycles = 0;
   core::BreakerSnapshot breaker;
   core::ResidencySnapshot residency;
-  /// Content of the frames named by `residency` (input slots + result), at
-  /// most one entry per distinct hash.
+  /// Content of the frames in `residency`'s input slots, at most one entry
+  /// per distinct hash, in ascending key order when the farm writes it.
+  /// The result bank is key-only.
   std::vector<ResidentFrame> frames;
   /// Descriptors of calls that were accepted but not yet started when the
   /// shard drained.  The live requests (promises, borrowed input frames)

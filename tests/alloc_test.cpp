@@ -43,6 +43,8 @@ using analysis::kNoFrame;
 using analysis::LiveInterval;
 using analysis::ResidencyPlan;
 using analysis::TransferKind;
+using test::expect_runs_equal;
+using test::external_inputs;
 
 constexpr Size kFrame{48, 32};
 constexpr u64 kFrameWords = 2 * 48 * 32;  // one frame as PCI words
@@ -92,41 +94,6 @@ CallProgram chain_program() {
   const i32 r1 = p.add_call(pointwise_threshold(4), r0);
   p.mark_output(p.add_call(intra_con8(), r1));
   return p;
-}
-
-std::vector<img::Image> external_inputs(const CallProgram& program,
-                                        Rng& rng) {
-  std::vector<img::Image> inputs;
-  for (const analysis::FrameDecl& decl : program.frames())
-    if (decl.producer == kNoFrame)
-      inputs.push_back(img::make_test_frame(decl.size, rng.next_u64()));
-  return inputs;
-}
-
-void expect_runs_equal(const analysis::ProgramRunResult& ref,
-                       const analysis::ProgramRunResult& out) {
-  ASSERT_EQ(ref.outputs.size(), out.outputs.size());
-  for (std::size_t i = 0; i < ref.outputs.size(); ++i) {
-    SCOPED_TRACE("output " + std::to_string(i));
-    test::expect_images_equal(ref.outputs[i], out.outputs[i]);
-  }
-  EXPECT_EQ(ref.side.sad, out.side.sad);
-  EXPECT_EQ(ref.side.histogram, out.side.histogram);
-  EXPECT_EQ(ref.side.gme, out.side.gme);
-  auto sorted = [](std::vector<alib::SegmentInfo> s) {
-    std::sort(s.begin(), s.end(),
-              [](const alib::SegmentInfo& a, const alib::SegmentInfo& b) {
-                return a.id < b.id;
-              });
-    return s;
-  };
-  const std::vector<alib::SegmentInfo> rs = sorted(ref.segments);
-  const std::vector<alib::SegmentInfo> os = sorted(out.segments);
-  ASSERT_EQ(rs.size(), os.size());
-  for (std::size_t i = 0; i < rs.size(); ++i) {
-    EXPECT_EQ(rs[i].id, os[i].id) << "segment " << i;
-    EXPECT_EQ(rs[i].pixel_count, os[i].pixel_count) << "segment " << i;
-  }
 }
 
 /// Allocates under `options` and asserts the invariants every plan must
@@ -464,6 +431,34 @@ TEST(Farm, PlannedExecutionMovesExactlyThePlannedFrames) {
     EXPECT_EQ(transferred, exec.residency.inputs_transferred);
     EXPECT_EQ(reused, exec.residency.inputs_reused);
     EXPECT_EQ(relocated, exec.residency.inputs_relocated);
+  }
+}
+
+// Modeled time of a planned program, pinned: the run's cycle sum and the
+// home shard's clock on a fresh farm.  No call of a lone program is queued
+// behind a running one, so none gets strip overlap, and the clock is the
+// plain sum of the calls.
+TEST(Farm, PlannedProgramModeledTimeIsPinned) {
+  struct Case {
+    CallProgram program;
+    u64 cycles;
+  };
+  for (const Case& c :
+       {Case{thrash_program(), 1248255}, Case{chain_program(), 626484}}) {
+    Rng rng(0xA110Cu);
+    const std::vector<img::Image> inputs = external_inputs(c.program, rng);
+    serve::FarmOptions options;
+    options.shards = 2;
+    options.residency_plan = true;
+    serve::EngineFarm farm(options);
+    const serve::ProgramExecution exec =
+        farm.execute_program(c.program, inputs);
+    farm.drain();
+    const serve::FarmStats stats = farm.stats();
+    EXPECT_EQ(exec.run.stats.cycles, c.cycles);
+    EXPECT_EQ(stats.shards[0].busy_cycles, c.cycles);
+    EXPECT_EQ(stats.shards[1].busy_cycles, 0u);
+    EXPECT_EQ(stats.overlap_cycles_saved, 0u);
   }
 }
 

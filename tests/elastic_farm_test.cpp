@@ -8,12 +8,16 @@
 // serial software reference — is tier2 (suite name contains "Chaos").
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <deque>
+#include <functional>
 #include <future>
 #include <limits>
+#include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -49,7 +53,8 @@ void expect_shard_identity(const FarmStats& stats) {
 std::vector<u8> forged_dimension_blob(i32 width, i32 height) {
   ShardSnapshot snapshot;
   const img::Image frame = img::make_test_frame(Size{24, 18}, 5);
-  snapshot.frames.push_back({core::frame_content_hash(frame), frame});
+  snapshot.frames.push_back({core::frame_content_hash(frame),
+                             std::make_shared<const img::Image>(frame)});
   std::vector<u8> blob = serve::serialize_snapshot(snapshot);
   // Header (16) + shard index, clock, breaker (21) + residency (50) +
   // frame count (4) + frame key (8): the frame's width, then its height.
@@ -94,8 +99,8 @@ ShardSnapshot sample_snapshot(Rng& rng) {
   s.residency.input_slots[1] = {k1, 9, true};
   s.residency.result_hash = 0xCCCC;
   s.residency.use_clock = 11;
-  s.frames.push_back({k0, f0});
-  s.frames.push_back({k1, f1});
+  s.frames.push_back({k0, std::make_shared<const img::Image>(f0)});
+  s.frames.push_back({k1, std::make_shared<const img::Image>(f1)});
   for (int i = 0; i < 6; ++i) {
     bool needs_b = false;
     s.queued.push_back(test::random_any_call(rng, Size{48, 32}, needs_b));
@@ -130,8 +135,8 @@ TEST(SnapshotFormatTest, RoundTripIsIdentity) {
   ASSERT_EQ(parsed.frames.size(), original.frames.size());
   for (std::size_t i = 0; i < parsed.frames.size(); ++i) {
     EXPECT_EQ(parsed.frames[i].hash, original.frames[i].hash);
-    test::expect_images_equal(original.frames[i].content,
-                              parsed.frames[i].content);
+    test::expect_images_equal(*original.frames[i].content,
+                              *parsed.frames[i].content);
   }
   ASSERT_EQ(parsed.queued.size(), original.queued.size());
   // Serialize-of-parse reproduces the exact bytes: nothing in any call or
@@ -464,8 +469,7 @@ TEST(ElasticFarmTest, RestoreOfHostileBlobDropsNoAcceptedWork) {
   }
   for (auto& f : futures) test::expect_results_equal(ref, f.get());
   test::expect_results_equal(ref, farm.execute(call, a, &b));
-  // A worker counts a call complete just after fulfilling its future, so
-  // the counters are read after drain(), as every other farm test does.
+  // The counters are read after drain(), as every other farm test does.
   farm.drain();
 
   const FarmStats stats = farm.stats();
@@ -495,7 +499,7 @@ TEST(ElasticFarmTest, RestoreTimeTransportFaultsDegradeFramesToCold) {
   const u64 hash = core::frame_content_hash(x);
   snapshot.residency.input_slots[0] = {hash, 1, false};
   snapshot.residency.use_clock = 1;
-  snapshot.frames.push_back({hash, x});
+  snapshot.frames.push_back({hash, std::make_shared<const img::Image>(x)});
   farm.restore_shard(0, serve::serialize_snapshot(snapshot));
 
   const Call call = Call::make_intra(PixelOp::Copy,
@@ -543,6 +547,103 @@ TEST(ElasticFarmTest, ElasticOperationsValidateShardIndices) {
   EXPECT_THROW(farm.kill_shard(2), InvalidArgument);
   EXPECT_THROW(farm.recover_shard(99), InvalidArgument);
   EXPECT_THROW(farm.resize(0), InvalidArgument);
+}
+
+// A snapshot is a pure function of shard state: its frames come in
+// ascending key order whatever the keys, and two farms fed the same calls
+// serialize the same bytes.
+TEST(ElasticFarmTest, SnapshotIsAPureFunctionOfShardState) {
+  const Call call = Call::make_inter(PixelOp::AbsDiff);
+  for (u64 seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const img::Image a = test::small_frame(2 * seed);
+    const img::Image b = test::small_frame_b(2 * seed + 1);
+    const auto snapshot = [&] {
+      FarmOptions options;
+      options.shards = 1;
+      EngineFarm farm(options);
+      farm.execute(call, a, &b);
+      farm.execute(call, b, &a);
+      return farm.snapshot_shard(0);
+    };
+    const std::vector<u8> blob = snapshot();
+    EXPECT_EQ(blob, snapshot());
+    const ShardSnapshot parsed = serve::parse_snapshot(blob);
+    ASSERT_EQ(parsed.frames.size(), 2u);
+    EXPECT_LT(parsed.frames[0].hash, parsed.frames[1].hash);
+  }
+}
+
+// Frames are borrowed only for the life of their request.  The caller's
+// images die, and their memory is reused, right after the farm answers.
+// The frame still in an input bank was copied when the request ended, so a
+// snapshot of it passes parse_snapshot (which re-keys every frame against
+// its content) and a restore still serves bit-exactly.  Under ASan a frame
+// still borrowed past its request is a use-after-free.
+void expect_resident_frames_outlive_caller(
+    EngineFarm& farm, const std::function<void(const img::Image&,
+                                               const img::Image&)>& run,
+    const std::function<void(const img::Image&, const img::Image&)>& check) {
+  const img::Image a = test::small_frame(31);
+  const img::Image b = test::small_frame_b(32);
+  {
+    auto caller_a = std::make_unique<img::Image>(a);
+    auto caller_b = std::make_unique<img::Image>(b);
+    run(*caller_a, *caller_b);
+  }
+  // Likely to land where the caller's frames were.
+  const img::Image scribble_a = test::small_frame(33);
+  const img::Image scribble_b = test::small_frame_b(34);
+  const std::vector<u8> blob = farm.snapshot_shard(0);
+  const ShardSnapshot parsed = serve::parse_snapshot(blob);
+  EXPECT_FALSE(parsed.frames.empty());
+  farm.restore_shard(0, blob);
+  check(a, b);
+  expect_shard_identity(farm.stats());
+}
+
+TEST(ElasticFarmTest, HandSubmittedFramesOutliveTheirCaller) {
+  FarmOptions options;
+  options.shards = 1;
+  EngineFarm farm(options);
+  const Call call = Call::make_inter(PixelOp::AbsDiff);
+  expect_resident_frames_outlive_caller(
+      farm,
+      [&](const img::Image& a, const img::Image& b) {
+        test::expect_results_equal(alib::execute_functional(call, a, &b),
+                                   farm.submit(call, a, &b).get());
+      },
+      [&](const img::Image& a, const img::Image& b) {
+        const i64 reused = farm.stats().shards[0].session.inputs_reused;
+        test::expect_results_equal(alib::execute_functional(call, a, &b),
+                                   farm.execute(call, a, &b));
+        EXPECT_EQ(farm.stats().shards[0].session.inputs_reused, reused + 2)
+            << "the restored frames should be reused";
+      });
+}
+
+TEST(ElasticFarmTest, PlannedProgramFramesOutliveTheirCaller) {
+  // The last call reads the external input `y`, which is still in an input
+  // bank when the program ends.
+  analysis::CallProgram program;
+  const Size size = test::small_frame().size();
+  const i32 x = program.add_input(size, "x");
+  const i32 y = program.add_input(size, "y");
+  const i32 grad = program.add_call(
+      Call::make_intra(PixelOp::GradientMag, alib::Neighborhood::con8()), x);
+  program.mark_output(
+      program.add_call(Call::make_inter(PixelOp::AbsDiff), grad, y));
+  FarmOptions options;
+  options.shards = 1;
+  options.residency_plan = true;
+  EngineFarm farm(options);
+  test::InterpreterBackend reference;
+  const auto run = [&](const img::Image& a, const img::Image& b) {
+    const std::vector<img::Image> inputs = {a, b};
+    test::expect_runs_equal(analysis::run_program(program, reference, inputs),
+                            farm.execute_program(program, inputs).run);
+  };
+  expect_resident_frames_outlive_caller(farm, run, run);
 }
 
 // --- Chaos gate (tier2) ----------------------------------------------------
@@ -652,6 +753,126 @@ TEST(ElasticChaosTest, DifferentialFuzzSurvivesShardChurn) {
   // The chaos schedule must actually have exercised the machinery.
   EXPECT_GT(snapshots, 0);
   EXPECT_GT(recovers, 0);
+}
+
+// Planned programs under chaos: two client threads run fusion-biased
+// programs through a residency-planned, optimizing farm — each program one
+// request on its home shard — while the main thread hand-submits calls and
+// snapshots, kills, recovers, restores, resizes and rebalances shards.
+// Every program output and every call stays bit-exact against the
+// interpreter, no accepted work is dropped, and the shard clocks keep
+// their accounting identity.
+TEST(ElasticChaosTest, PlannedProgramsSurviveShardChurn) {
+  FarmOptions options;
+  options.shards = 3;
+  options.residency_plan = true;
+  options.optimize_on_submit = true;
+  core::FaultPlan faulty;
+  faulty.seed = 7;
+  faulty.dma_corrupt_rate = 0.002;
+  faulty.readback_corrupt_rate = 0.001;
+  faulty.snapshot_corrupt_rate = 0.05;
+  faulty.restore_corrupt_rate = 0.0005;
+  options.shard_faults = {core::FaultPlan{}, faulty};
+  EngineFarm farm(options);
+
+  constexpr int kClients = 2;
+  constexpr int kProgramsPerClient = 40;
+  std::vector<i64> program_calls(kClients, 0);
+  std::atomic<int> clients_done{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&farm, &program_calls, &clients_done, c] {
+      Rng rng(0xC1A05u + static_cast<u64>(c));
+      test::InterpreterBackend reference;
+      for (int i = 0; i < kProgramsPerClient; ++i) {
+        const analysis::CallProgram program =
+            test::random_fusion_biased_program(rng);
+        const std::vector<img::Image> inputs =
+            test::external_inputs(program, rng);
+        SCOPED_TRACE("client " + std::to_string(c) + " program " +
+                     std::to_string(i));
+        const serve::ProgramExecution exec =
+            farm.execute_program(program, inputs);
+        test::expect_runs_equal(
+            analysis::run_program(program, reference, inputs), exec.run);
+        program_calls[static_cast<std::size_t>(c)] +=
+            static_cast<i64>(exec.residency.schedule.size());
+      }
+      ++clients_done;
+    });
+  }
+
+  Rng rng(0xE1A57Du);
+  std::vector<img::Image> pool;
+  for (u64 i = 0; i < 4; ++i)
+    pool.push_back(img::make_test_frame(Size{48, 32}, 200 + i));
+  struct Pending {
+    std::future<alib::CallResult> future;
+    alib::CallResult ref;
+  };
+  std::deque<Pending> pending;
+  // The churn runs until every client is done, so it overlaps them all.
+  constexpr int kMinCalls = 120;
+  i64 calls = 0;
+  std::vector<u8> last_blob;
+  int last_blob_shard = -1;
+  for (; calls < kMinCalls || clients_done < kClients; ++calls) {
+    bool needs_b = false;
+    const Call call = test::random_any_call(rng, Size{48, 32}, needs_b);
+    const img::Image& a = pool[rng.bounded(static_cast<u32>(pool.size()))];
+    const img::Image* b =
+        needs_b ? &pool[rng.bounded(static_cast<u32>(pool.size()))] : nullptr;
+    Pending p;
+    p.ref = alib::execute_functional(call, a, b);
+    p.future = farm.submit(call, a, b);
+    pending.push_back(std::move(p));
+    if (rng.chance(0.25)) {
+      const int shard =
+          static_cast<int>(rng.bounded(static_cast<u32>(farm.shard_count())));
+      switch (rng.bounded(6)) {
+        case 0:
+          last_blob = farm.snapshot_shard(shard);
+          last_blob_shard = shard;
+          break;
+        case 1:
+          farm.kill_shard(shard);
+          break;
+        case 2:
+          farm.recover_shard(shard);
+          break;
+        case 3:
+          if (last_blob_shard >= 0 && last_blob_shard < farm.shard_count()) {
+            try {
+              farm.restore_shard(last_blob_shard, last_blob);
+            } catch (const serve::SnapshotCorruption&) {
+              // rot at rest, detected — expected
+            }
+          }
+          break;
+        case 4:
+          farm.resize(1 + static_cast<int>(rng.bounded(4)));
+          break;
+        case 5:
+          farm.rebalance();
+          break;
+      }
+    }
+    while (pending.size() > 16) {
+      test::expect_results_equal(pending.front().ref,
+                                 pending.front().future.get());
+      pending.pop_front();
+    }
+  }
+  for (Pending& p : pending) test::expect_results_equal(p.ref, p.future.get());
+  for (std::thread& t : clients) t.join();
+  farm.drain();
+
+  const FarmStats stats = farm.stats();
+  EXPECT_EQ(stats.submitted, stats.completed) << "accepted work was dropped";
+  EXPECT_EQ(stats.completed, calls + program_calls[0] + program_calls[1]);
+  EXPECT_EQ(stats.planned_programs, kClients * kProgramsPerClient);
+  expect_shard_identity(stats);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "addresslib/functional.hpp"
+#include "analysis/planner.hpp"
 #include "serve/farm.hpp"
 #include "test_util.hpp"
 
@@ -303,6 +304,40 @@ TEST(FarmTest, ConcurrentShutdownIsSerialized) {
   EXPECT_THROW(farm.submit(call, a), InvalidArgument);
 }
 
+// A worker counts a request's calls before it fulfils the promise, so the
+// counters are exact the moment a future is ready — no drain() needed.
+TEST(FarmTest, CallsAreCountedBeforeTheFutureIsReady) {
+  FarmOptions options;
+  options.shards = 2;
+  EngineFarm farm(options);
+  const img::Image a = test::small_frame();
+  const img::Image b = test::small_frame_b();
+  const Call call = Call::make_inter(PixelOp::AbsDiff);
+  for (i64 i = 0; i < 500; ++i) {
+    farm.execute(call, a, &b);
+    const FarmStats stats = farm.stats();
+    ASSERT_EQ(stats.submitted, i + 1);
+    ASSERT_EQ(stats.completed, i + 1);
+  }
+
+  // A planned program is one request, but its calls still count one by one.
+  analysis::CallProgram program;
+  const i32 x = program.add_input(a.size(), "x");
+  const i32 grad = program.add_call(
+      Call::make_intra(PixelOp::GradientMag, alib::Neighborhood::con8()), x);
+  program.mark_output(program.add_call(call, grad, x));
+  FarmOptions planned;
+  planned.shards = 2;
+  planned.residency_plan = true;
+  EngineFarm planned_farm(planned);
+  planned_farm.execute_program(program, {a});
+  const FarmStats stats = planned_farm.stats();
+  EXPECT_EQ(stats.submitted, 2);
+  EXPECT_EQ(stats.completed, 2);
+  EXPECT_EQ(stats.shards[0].calls + stats.shards[1].calls, 2);
+  EXPECT_EQ(stats.planned_programs, 1);
+}
+
 // ---- aeplan integration: admission control ---------------------------------
 
 TEST(FarmAdmissionTest, BudgetRejectsOverPricedCallsInTheCallerContext) {
@@ -337,6 +372,36 @@ TEST(FarmAdmissionTest, GenerousBudgetAdmitsAndStaysBitExact) {
   farm.drain();
   EXPECT_EQ(farm.stats().admission_rejected, 0);
   EXPECT_EQ(farm.stats().completed, 1);
+}
+
+// A planned program runs on a shard worker, but each of its calls is still
+// admitted on its own: the intra call fits the budget and runs, the inter
+// call does not, and the program fails with the same AdmissionError.
+TEST(FarmAdmissionTest, PlannedProgramsAdmitEachCall) {
+  const img::Image a = test::small_frame();
+  const Call copy = Call::make_intra(PixelOp::Copy, alib::Neighborhood::con0());
+  const Call diff = Call::make_inter(PixelOp::AbsDiff);  // streams two frames
+  analysis::PlanOptions plan;
+  const u64 budget = analysis::plan_call(copy, a.size(), plan).cycles.upper;
+  ASSERT_GT(analysis::plan_call(diff, a.size(), plan).cycles.upper, budget);
+  analysis::CallProgram program;
+  const i32 x = program.add_input(a.size(), "x");
+  program.mark_output(program.add_call(diff, program.add_call(copy, x), x));
+
+  FarmOptions options;
+  options.shards = 2;
+  options.residency_plan = true;
+  options.admission_budget_cycles = budget;
+  EngineFarm farm(options);
+  EXPECT_THROW(farm.execute_program(program, {a}), serve::AdmissionError);
+  const FarmStats stats = farm.stats();
+  EXPECT_EQ(stats.admission_rejected, 1);
+  EXPECT_EQ(stats.submitted, 1);
+  EXPECT_EQ(stats.completed, 1);
+  EXPECT_EQ(stats.planned_programs, 0);
+  // The shard keeps serving.
+  test::expect_results_equal(alib::execute_functional(copy, a),
+                             farm.execute(copy, a));
 }
 
 // An admission error is still an InvalidArgument: existing catch sites keep

@@ -41,6 +41,8 @@ using analysis::ProgramPlan;
 using analysis::ProgramRunResult;
 using analysis::RewriteLog;
 using analysis::RewriteRecord;
+using test::expect_runs_equal;
+using test::external_inputs;
 
 constexpr Size kFrame{48, 32};
 constexpr u64 kFrameWords = 2 * 48 * 32;  // one frame as PCI words
@@ -66,46 +68,6 @@ Call pointwise_scale() {
 }
 
 /// External inputs for `program` in frame-declaration order.
-std::vector<img::Image> external_inputs(const CallProgram& program,
-                                        Rng& rng) {
-  std::vector<img::Image> inputs;
-  for (const analysis::FrameDecl& decl : program.frames())
-    if (decl.producer == kNoFrame)
-      inputs.push_back(img::make_test_frame(decl.size, rng.next_u64()));
-  return inputs;
-}
-
-/// The optimizer's observation-equivalence contract: declared outputs
-/// bit-exact in outputs() order, merged side accumulators equal, segment
-/// records preserved keyed by id (reorders permute their arrival order).
-void expect_runs_equal(const ProgramRunResult& ref,
-                       const ProgramRunResult& out) {
-  ASSERT_EQ(ref.outputs.size(), out.outputs.size());
-  for (std::size_t i = 0; i < ref.outputs.size(); ++i) {
-    SCOPED_TRACE("output " + std::to_string(i));
-    test::expect_images_equal(ref.outputs[i], out.outputs[i]);
-  }
-  EXPECT_EQ(ref.side.sad, out.side.sad);
-  EXPECT_EQ(ref.side.histogram, out.side.histogram);
-  EXPECT_EQ(ref.side.gme, out.side.gme);
-  EXPECT_EQ(ref.side.gme_affine, out.side.gme_affine);
-  auto sorted = [](std::vector<alib::SegmentInfo> s) {
-    std::sort(s.begin(), s.end(),
-              [](const alib::SegmentInfo& a, const alib::SegmentInfo& b) {
-                return a.id < b.id;
-              });
-    return s;
-  };
-  const std::vector<alib::SegmentInfo> rs = sorted(ref.segments);
-  const std::vector<alib::SegmentInfo> os = sorted(out.segments);
-  ASSERT_EQ(rs.size(), os.size());
-  for (std::size_t i = 0; i < rs.size(); ++i) {
-    EXPECT_EQ(rs[i].id, os[i].id) << "segment " << i;
-    EXPECT_EQ(rs[i].pixel_count, os[i].pixel_count) << "segment " << i;
-    EXPECT_EQ(rs[i].sum_y, os[i].sum_y) << "segment " << i;
-  }
-}
-
 /// Runs original and rewritten on `backend` and asserts the equivalence
 /// contract.  With `check_claims` (engine backends only — CallStats::cycles
 /// is zero everywhere else) the claimed cycle envelope must also contain the

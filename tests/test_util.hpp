@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -11,6 +12,7 @@
 
 #include "addresslib/addresslib.hpp"
 #include "addresslib/functional.hpp"
+#include "analysis/optimizer.hpp"
 #include "analysis/program.hpp"
 #include "common/rng.hpp"
 #include "image/compare.hpp"
@@ -103,6 +105,49 @@ inline void expect_results_equal(const alib::CallResult& ref,
     EXPECT_EQ(r.geodesic_radius, o.geodesic_radius) << "segment " << i;
     EXPECT_EQ(r.sum_y, o.sum_y) << "segment " << i;
     EXPECT_TRUE(r.bbox == o.bbox) << "segment " << i << " bbox";
+  }
+}
+
+/// One random test frame per external frame of `program`, in
+/// frame-declaration order (what analysis::run_program binds them to).
+inline std::vector<img::Image> external_inputs(
+    const analysis::CallProgram& program, Rng& rng) {
+  std::vector<img::Image> inputs;
+  for (const analysis::FrameDecl& decl : program.frames())
+    if (decl.producer == analysis::kNoFrame)
+      inputs.push_back(img::make_test_frame(decl.size, rng.next_u64()));
+  return inputs;
+}
+
+/// Asserts two whole-program runs observation-equivalent, the optimizer's
+/// contract: declared outputs bit-exact in outputs() order, merged side
+/// accumulators equal, segment records preserved keyed by id (reorders
+/// permute their arrival order).
+inline void expect_runs_equal(const analysis::ProgramRunResult& ref,
+                              const analysis::ProgramRunResult& out) {
+  ASSERT_EQ(ref.outputs.size(), out.outputs.size());
+  for (std::size_t i = 0; i < ref.outputs.size(); ++i) {
+    SCOPED_TRACE("output " + std::to_string(i));
+    expect_images_equal(ref.outputs[i], out.outputs[i]);
+  }
+  EXPECT_EQ(ref.side.sad, out.side.sad);
+  EXPECT_EQ(ref.side.histogram, out.side.histogram);
+  EXPECT_EQ(ref.side.gme, out.side.gme);
+  EXPECT_EQ(ref.side.gme_affine, out.side.gme_affine);
+  auto sorted = [](std::vector<alib::SegmentInfo> s) {
+    std::sort(s.begin(), s.end(),
+              [](const alib::SegmentInfo& a, const alib::SegmentInfo& b) {
+                return a.id < b.id;
+              });
+    return s;
+  };
+  const std::vector<alib::SegmentInfo> rs = sorted(ref.segments);
+  const std::vector<alib::SegmentInfo> os = sorted(out.segments);
+  ASSERT_EQ(rs.size(), os.size());
+  for (std::size_t i = 0; i < rs.size(); ++i) {
+    EXPECT_EQ(rs[i].id, os[i].id) << "segment " << i;
+    EXPECT_EQ(rs[i].pixel_count, os[i].pixel_count) << "segment " << i;
+    EXPECT_EQ(rs[i].sum_y, os[i].sum_y) << "segment " << i;
   }
 }
 
