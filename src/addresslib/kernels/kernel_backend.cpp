@@ -85,7 +85,8 @@ CallResult KernelBackend::execute_inter(const Call& call, const img::Image& a,
   const i32 w = a.width();
   const i32 h = a.height();
   CallResult result;
-  result.output = img::Image(a.size());
+  // Unfilled: every inter row kernel starts by copying its row of `a`.
+  result.output = img::Image::for_overwrite(a.size());
 
   const kern::InterRowFn row_fn = kern::lower_inter_row(call.op);
   const kern::FusedRowPlan fused(call.fused);
@@ -126,7 +127,9 @@ CallResult KernelBackend::execute_intra(const Call& call,
   const i32 w = a.width();
   const i32 h = a.height();
   CallResult result;
-  result.output = img::Image(a.size());
+  // Unfilled: each row below is border cells plus an interior row kernel
+  // that starts by copying its span of `a`, together every pixel.
+  result.output = img::Image::for_overwrite(a.size());
 
   // Lower the neighborhood once: canonical offsets -> flat strides.
   const kern::IntraPlan plan = build_intra_plan(call, w, call.clamp_free);

@@ -13,6 +13,16 @@ Image::Image(Size size, Pixel fill) : size_(size) {
 Image::Image(i32 width, i32 height, Pixel fill)
     : Image(Size{width, height}, fill) {}
 
+Image Image::for_overwrite(Size size) {
+  AE_EXPECTS(size.width >= 0 && size.height >= 0,
+             "image dimensions must be non-negative");
+  Image out;
+  out.size_ = size;
+  // FrameAllocator's no-argument construct writes nothing.
+  out.data_.resize(static_cast<std::size_t>(size.area()));
+  return out;
+}
+
 Pixel& Image::at(i32 x, i32 y) {
   AE_EXPECTS(contains(Point{x, y}), "pixel coordinate out of bounds");
   return ref(x, y);

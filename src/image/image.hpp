@@ -10,9 +10,13 @@
 
 #include "common/error.hpp"
 #include "common/geometry.hpp"
+#include "image/frame_store.hpp"
 #include "image/pixel.hpp"
 
 namespace ae::img {
+
+/// Pixel storage of an Image; its blocks recycle through FrameStore.
+using PixelBuffer = std::vector<Pixel, FrameAllocator<Pixel>>;
 
 class Image {
  public:
@@ -21,6 +25,11 @@ class Image {
   /// Creates a width x height image filled with `fill`.
   Image(Size size, Pixel fill = Pixel{});
   Image(i32 width, i32 height, Pixel fill = Pixel{});
+
+  /// A width x height image whose pixels are left unwritten (a recycled
+  /// block keeps its old bytes).  Only for producers that write every
+  /// pixel before anything reads one.
+  static Image for_overwrite(Size size);
 
   i32 width() const { return size_.width; }
   i32 height() const { return size_.height; }
@@ -53,8 +62,8 @@ class Image {
   /// nearest border pixel (the AddressLib border replication policy).
   const Pixel& clamped(i32 x, i32 y) const;
 
-  std::vector<Pixel>& pixels() { return data_; }
-  const std::vector<Pixel>& pixels() const { return data_; }
+  PixelBuffer& pixels() { return data_; }
+  const PixelBuffer& pixels() const { return data_; }
 
   void fill(Pixel p);
   /// Fills one channel on every pixel, leaving others untouched.
@@ -69,7 +78,7 @@ class Image {
 
  private:
   Size size_{};
-  std::vector<Pixel> data_;
+  PixelBuffer data_;
 };
 
 /// Standard frame formats from the paper (section 3.1).
