@@ -3,6 +3,7 @@
 // pipelines (not the modeled 2005 platforms).
 #include <benchmark/benchmark.h>
 
+#include "gme/affine.hpp"
 #include "gme/estimator.hpp"
 #include "gme/pyramid.hpp"
 #include "image/sequence.hpp"
@@ -54,6 +55,35 @@ void BM_GmeFramePair(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GmeFramePair);
+
+// The estimator's host warps alone, on one CIF frame at a fractional motion
+// (every pixel blends four taps).
+const img::Image& cif_frame() {
+  static const img::Image f = img::make_test_frame(img::formats::kCif, 5);
+  return f;
+}
+
+void BM_GmeWarpTranslational(benchmark::State& state) {
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        gme::warp_translational(cif_frame(), gme::Translation{1.3, -0.7}));
+  }
+  state.SetItemsProcessed(state.iterations() * cif_frame().pixel_count());
+}
+BENCHMARK(BM_GmeWarpTranslational);
+
+void BM_GmeWarpAffine(benchmark::State& state) {
+  gme::AffineMotion m = gme::AffineMotion::from_translation({1.3, -0.7});
+  m.a1 = 1.01;
+  m.a2 = -0.02;
+  m.a4 = 0.02;
+  m.a5 = 0.99;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(gme::warp_affine(cif_frame(), m));
+  }
+  state.SetItemsProcessed(state.iterations() * cif_frame().pixel_count());
+}
+BENCHMARK(BM_GmeWarpAffine);
 
 void BM_RetrievalQuery(benchmark::State& state) {
   alib::SoftwareBackend be;

@@ -47,7 +47,8 @@ namespace detail {  // the sampler every warp shares
 void sample_bilinear(const img::Image& src, double sx, double sy,
                      img::Pixel& out);
 /// A src-sized image whose rows are filled by `row(y, out_row)`, banded
-/// across the shared pool with decimate2's 16-row grain.
+/// across the shared pool with decimate2's 16-row grain.  The frame is not
+/// filled first: `row` must write every pixel of its row.
 img::Image warp_rows(const img::Image& src,
                      const std::function<void(i32, img::Pixel*)>& row);
 }  // namespace detail

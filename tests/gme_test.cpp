@@ -96,13 +96,16 @@ img::Image scalar_warp_perspective(const img::Image& src,
   });
 }
 
-const Size kWarpSizes[] = {{1, 1}, {7, 5}, {33, 17}, {352, 288}};
+// {37, 33}: an odd width, and one row past a whole number of 16-row bands.
+const Size kWarpSizes[] = {{1, 1}, {7, 5}, {33, 17}, {37, 33}, {352, 288}};
 
-// Integer, half-pixel, negative, fractional and beyond-the-frame offsets.
+// Integer, half-pixel, negative, fractional and beyond-the-frame offsets;
+// {0.75, -2.5} clamps both taps of the first three rows onto row 0.
 const Translation kWarpOffsets[] = {
     {0.0, 0.0},    {3.0, 2.0},      {0.5, 0.5},     {-0.5, 1.5},
     {-2.0, -7.0},  {1.25, -3.75},   {-0.3, 0.7},    {400.0, -0.5},
-    {-1e6, 2.5},   {0.5, 1e6},      {-1.0, -1.0},   {1e-9, -1e-9}};
+    {-1e6, 2.5},   {0.5, 1e6},      {-1.0, -1.0},   {1e-9, -1e-9},
+    {0.75, -2.5}};
 
 TEST(WarpOracle, TranslationalMatchesScalarWarp) {
   for (const Size size : kWarpSizes) {
@@ -210,6 +213,25 @@ TEST(Warp, HalfPixelInterpolates) {
   const img::Image warped = warp_translational(src, Translation{0.5, 0.0});
   EXPECT_EQ(warped.at(0, 0).y, 50);
   EXPECT_EQ(warped.at(1, 0).y, 150);
+  // Blends of exactly k + 0.5 with k even round away from zero, as
+  // std::lround does: a round-half-even or truncating round gives k.
+  img::Image ties(Size{2, 2});
+  ties.at(0, 0).y = 2;
+  ties.at(1, 0).y = 3;
+  ties.at(0, 1).y = 3;
+  ties.at(0, 0).u = 4;
+  ties.at(1, 0).u = 5;
+  ties.at(0, 1).u = 5;
+  const img::Image across = warp_translational(ties, Translation{0.5, 0.0});
+  EXPECT_EQ(across.at(0, 0).y, 3);
+  EXPECT_EQ(across.at(0, 0).u, 5);
+  const img::Image down = warp_translational(ties, Translation{0.0, 0.5});
+  EXPECT_EQ(down.at(0, 0).y, 3);
+  EXPECT_EQ(down.at(0, 0).u, 5);
+  const img::Image affine =
+      warp_affine(ties, AffineMotion::from_translation({0.5, 0.0}));
+  EXPECT_EQ(affine.at(0, 0).y, 3);
+  EXPECT_EQ(affine.at(0, 0).u, 5);
 }
 
 TEST(Warp, BorderReplicates) {
