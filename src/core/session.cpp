@@ -16,7 +16,7 @@ FrameKeys FrameKeys::resolved(const img::Image& a_frame,
   FrameKeys keys = *this;
   if (keys.a == 0) keys.a = frame_content_hash(a_frame);
   if (keys.b == 0 && b_frame != nullptr)
-    keys.b = frame_content_hash(*b_frame);
+    keys.b = b_frame == &a_frame ? keys.a : frame_content_hash(*b_frame);
   return keys;
 }
 

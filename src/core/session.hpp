@@ -54,7 +54,8 @@ struct SessionOptions {
 /// Content hash of a frame as the residency tables key it: a vectorized,
 /// position-keyed hash of the pixel words (padding byte excluded) plus the
 /// dimensions, defined once in addresslib/kernels/frame_hash.hpp.  Never 0,
-/// which means "empty slot".  One pass over the frame, single-threaded.
+/// which means "empty slot".  One pass over the frame: row sums in parallel
+/// bands on par::ThreadPool::shared() for large frames, then a serial fold.
 /// Exposed so schedulers above the session (serve::EngineFarm) can route by
 /// residency affinity without re-deriving the hashing scheme.
 u64 frame_content_hash(const img::Image& image);
@@ -68,7 +69,7 @@ struct FrameKeys {
   u64 b = 0;
 
   /// These keys with the missing ones computed (`b` only when the second
-  /// frame is present).
+  /// frame is present; a second frame that is the first one takes key `a`).
   FrameKeys resolved(const img::Image& a_frame,
                      const img::Image* b_frame) const;
 };

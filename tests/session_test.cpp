@@ -115,6 +115,23 @@ TEST(Session, GmeIterationTrafficShrinks) {
   EXPECT_LT(session_cycles, plain_cycles * 7 / 10);
 }
 
+// AbsDiff(x, x): the second input is the first object, so it takes the
+// first key instead of a second hash of the same pixels.
+TEST(Session, SameFrameTwiceResolvesToOneKey) {
+  const img::Image x = test::small_frame(3);
+  const FrameKeys keys = FrameKeys{}.resolved(x, &x);
+  EXPECT_EQ(keys.a, frame_content_hash(x));
+  EXPECT_EQ(keys.b, keys.a);
+  // A carried key is reused as is, never recomputed from the pixels.
+  const FrameKeys carried = FrameKeys{42, 0}.resolved(x, &x);
+  EXPECT_EQ(carried.a, 42u);
+  EXPECT_EQ(carried.b, 42u);
+  // An equal copy is another object and is hashed on its own.
+  const img::Image copy = x;
+  const FrameKeys copied = FrameKeys{42, 0}.resolved(x, &copy);
+  EXPECT_EQ(copied.b, keys.a);
+}
+
 TEST(Session, NameSaysSession) {
   EXPECT_NE(EngineSession().name().find("session"), std::string::npos);
 }
